@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """CI perf-regression gate for the engine benches.
 
-Reads one or more google-benchmark JSON result files, compares the
+Reads one or more google-benchmark JSON result files, takes the median of
+each bench's repetitions (--benchmark_repetitions), compares the
 `sim_s_per_wall_s` throughput counters against the checked-in baseline
 (bench/bench_baseline.json), and fails (exit 1) when
 
@@ -29,6 +30,7 @@ Only the Python standard library is used.
 
 import argparse
 import json
+import statistics
 import sys
 from pathlib import Path
 
@@ -36,15 +38,28 @@ BASELINE = Path(__file__).resolve().parent / "bench_baseline.json"
 
 
 def load_results(paths):
-    """Merges benchmark-name -> benchmark object across result files."""
-    merged = {}
+    """Merges benchmark-name -> benchmark object across result files.
+
+    A bench run with --benchmark_repetitions=N contributes N rows under one
+    name; every numeric field of the merged object is the median of those
+    rows, so one noisy repetition can neither pass nor fail a gate.  The
+    library's own aggregate rows (mean/median/stddev) are ignored."""
+    runs = {}
     for path in paths:
         with open(path) as f:
             data = json.load(f)
         for b in data.get("benchmarks", []):
             if b.get("run_type") == "aggregate":
                 continue
-            merged[b["name"]] = b
+            runs.setdefault(b["name"], []).append(b)
+    merged = {}
+    for name, rows in runs.items():
+        bench = dict(rows[-1])
+        for key, value in rows[-1].items():
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                bench[key] = statistics.median(
+                    r[key] for r in rows if isinstance(r.get(key), (int, float)))
+        merged[name] = bench
     return merged
 
 

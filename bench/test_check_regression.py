@@ -167,6 +167,41 @@ class CheckRegressionTest(unittest.TestCase):
         self.assertEqual(len(lines), 1, output)
         self.assertIn("name=BM_Gone", lines[0])
 
+    # --- repetitions gate on their median ------------------------------------
+
+    def test_repetitions_merge_to_their_median(self):
+        rows = [bench_result("BM_A", v) for v in (9.0, 1.0, 10.0, 11.0, 8.0)]
+        path = self.write("reps.json", {"benchmarks": rows})
+        merged = check_regression.load_results([path])
+        self.assertEqual(merged["BM_A"]["sim_s_per_wall_s"], 9.0)
+
+    def test_one_slow_repetition_does_not_fail_a_floor(self):
+        # The last repetition alone would read 0.5x against a 0.85x floor.
+        baseline = {"benchmarks": {},
+                    "ratios": {"overhead": {"numerator": "BM_Event",
+                                            "denominator": "BM_Tick", "min": 0.85}}}
+        results = [bench_result("BM_Tick", 10.0) for _ in range(5)]
+        results += [bench_result("BM_Event", v) for v in (10.0, 10.2, 9.9, 10.1, 5.0)]
+        code, output, _ = self.run_main(baseline, results)
+        self.assertEqual(code, 0, output)
+
+    def test_median_below_floor_still_fails(self):
+        baseline = {"benchmarks": {},
+                    "ratios": {"overhead": {"numerator": "BM_Event",
+                                            "denominator": "BM_Tick", "min": 0.85}}}
+        results = [bench_result("BM_Tick", 10.0) for _ in range(5)]
+        results += [bench_result("BM_Event", v) for v in (5.0, 12.0, 6.0, 7.0, 11.0)]
+        code, output, _ = self.run_main(baseline, results)
+        self.assertEqual(code, 1)
+        self.assertIn("measured=0.70x", output)
+
+    def test_repetitions_across_files_share_one_median(self):
+        first = self.write("a.json", {"benchmarks": [bench_result("BM_A", 1.0)]})
+        second = self.write("b.json", {"benchmarks": [bench_result("BM_A", 3.0),
+                                                       bench_result("BM_A", 2.0)]})
+        merged = check_regression.load_results([first, second])
+        self.assertEqual(merged["BM_A"]["sim_s_per_wall_s"], 2.0)
+
     def test_aggregate_rows_are_ignored(self):
         baseline = {"benchmarks": {"BM_A": {"value": 10.0}}}
         results = [bench_result("BM_A", 10.0),

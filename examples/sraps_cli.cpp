@@ -92,14 +92,11 @@ void Usage() {
       "  --sweep-out DIR      spill sweep rows-*.csv shards + aggregates.json there\n"
       "  --sweep-threads N    sweep worker threads (default: hardware)\n"
       "  --sweep-shard N      scenarios per sweep CSV shard (default 256)\n"
-      "  --sweep-share-prefix share trajectories across scenarios that differ\n"
-      "                       only in grid.*.scale axes: run once per group,\n"
-      "                       fork + replay accounting per variant; outputs\n"
-      "                       stay bit-identical to the non-sharing path\n"
       "  --sweep-tree         snapshot-tree execution: classify axes by\n"
       "                       first-effect time, share the trajectory up to\n"
-      "                       each divergence and fork branches there; outputs\n"
-      "                       stay bit-identical to the plain path\n"
+      "                       each divergence and fork branches there; price\n"
+      "                       and carbon scale variants only replay accounting;\n"
+      "                       outputs stay bit-identical to the plain path\n"
       "  --sweep-distributed N  run the sweep across N sraps_sweep_worker\n"
       "                       processes via a filesystem work queue, then\n"
       "                       merge byte-identical artifacts (needs --sweep-out)\n"
@@ -172,13 +169,10 @@ int RunSweep(const std::string& spec_path, const SweepOptions& options,
         "snapshot tree: %zu scenarios from %zu trajectories "
         "(%zu roots, %zu forks, %zu probes, %zu fallback), "
         "%.0f%% of plain sim-time saved\n",
-        summary.tree_stats.scenarios, summary.simulated_trajectories,
+        summary.tree_stats.scenarios, summary.tree_stats.Trajectories(),
         summary.tree_stats.roots, summary.tree_stats.forks,
         summary.tree_stats.probe_runs, summary.tree_stats.fallback_scenarios,
         100.0 * summary.tree_stats.SavedFraction());
-  } else if (summary.forked_scenarios > 0) {
-    std::printf("prefix sharing: %zu trajectories simulated, %zu scenarios forked\n",
-                summary.simulated_trajectories, summary.forked_scenarios);
   }
   for (const std::string& err : summary.sample_errors) {
     std::fprintf(stderr, "  failed: %s\n", err.c_str());
@@ -331,8 +325,6 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "bad thread count '%s'\n", v.c_str());
         return 2;
       }
-    } else if (!std::strcmp(a, "--sweep-share-prefix")) {
-      sweep_options.share_prefix = true;
     } else if (!std::strcmp(a, "--sweep-tree")) {
       sweep_options.tree = true;
     } else if (!std::strcmp(a, "--sweep-distributed")) {

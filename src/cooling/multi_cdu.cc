@@ -72,13 +72,6 @@ MultiCduSample MultiCduCoolingModel::Step(const std::vector<double>& per_cdu_hea
   return sample;
 }
 
-MultiCduSample MultiCduCoolingModel::StepUniform(double it_power_w, double loss_w,
-                                                 double dt_s) {
-  const std::vector<double> per_cdu(cdus_.size(),
-                                    std::max(0.0, it_power_w) / cdus_.size());
-  return Step(per_cdu, loss_w, dt_s);
-}
-
 std::vector<double> DistributeHeatByCabinet(const std::vector<double>& per_node_heat_w,
                                             int nodes_per_cabinet, int num_cdus) {
   if (nodes_per_cabinet <= 0 || num_cdus <= 0) {

@@ -48,9 +48,6 @@ class MultiCduCoolingModel {
   MultiCduSample Step(const std::vector<double>& per_cdu_heat_w, double loss_w,
                       double dt_s);
 
-  /// Convenience: uniform heat distribution.
-  MultiCduSample StepUniform(double it_power_w, double loss_w, double dt_s);
-
   int num_cdus() const { return static_cast<int>(cdus_.size()); }
   const CoolingSpec& spec() const { return facility_.spec(); }
   /// The shared facility loop (snapshot fingerprints hash its thermal state).

@@ -78,7 +78,8 @@ struct ScenarioSpec {
   bool event_calendar = false;
   /// Record the per-tick wall energy so grid cost/CO2 accounting can be
   /// replayed under re-scaled signals (Simulation::ForkWithGrid) — the
-  /// prefix-sharing sweep enables this on shared runs.  Costs 8 B/tick.
+  /// sweep tree enables this on runs shared across price/carbon scales, and
+  /// the scenario service on its bases.  Costs 8 B/tick.
   bool capture_grid_basis = false;
   SimDuration tick = 0;             ///< 0 = system telemetry interval
   double power_cap_w = 0.0;         ///< facility power cap (0 = uncapped)

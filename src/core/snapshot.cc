@@ -188,8 +188,15 @@ std::unique_ptr<Simulation> Simulation::Fork(const SimStateSnapshot& snap,
 }
 
 std::uint64_t SimStateSnapshot::Fingerprint() const {
+  return EngineStateFingerprint(state_);
+}
+
+std::size_t SimStateSnapshot::ApproxBytes() const {
+  return sizeof(SimStateSnapshot) + EngineStateBytes(state_);
+}
+
+std::uint64_t EngineStateFingerprint(const EngineState& s) {
   Fnv64 h;
-  const EngineState& s = state_;
   h.I64(s.now);
   h.U64(s.events_this_tick ? 1 : 0);
   h.U64(s.next_submit);
@@ -210,6 +217,8 @@ std::uint64_t SimStateSnapshot::Fingerprint() const {
   h.U64(s.counters.pstate_changes);
   h.U64(s.counters.nodes_slept);
   h.U64(s.counters.nodes_woken);
+  h.U64(s.counters.thermal_trips);
+  h.U64(s.counters.thermal_clears);
   h.U64(s.queue.size());
   for (const JobQueue::Handle handle : s.queue.handles()) h.U64(handle);
   h.U64(s.running.size());
@@ -290,9 +299,8 @@ std::uint64_t SimStateSnapshot::Fingerprint() const {
   return h.hash();
 }
 
-std::size_t SimStateSnapshot::ApproxBytes() const {
-  const EngineState& s = state_;
-  std::size_t bytes = sizeof(SimStateSnapshot) + sizeof(EngineState);
+std::size_t EngineStateBytes(const EngineState& s) {
+  std::size_t bytes = sizeof(EngineState);
   for (const Job& job : s.jobs) {
     bytes += sizeof(Job);
     bytes += job.name.size() + job.user.size() + job.account.size();
@@ -310,6 +318,11 @@ std::size_t SimStateSnapshot::ApproxBytes() const {
   bytes += s.node_mode.size() * sizeof(NodePowerMode);
   bytes += s.wake_events.size() * sizeof(std::pair<SimTime, int>);
   bytes += s.class_energy_j.size() * sizeof(double);
+  bytes += s.node_inlet_c.size() * sizeof(double);
+  if (s.multi_cooling) {
+    bytes += sizeof(MultiCduCoolingModel) +
+             s.multi_cooling->cdu_states().size() * sizeof(CduState);
+  }
   bytes += s.rack_temp_c.size() * sizeof(double);
   bytes += s.rack_class_tripped.size() * sizeof(std::uint8_t);
   if (s.rm) bytes += static_cast<std::size_t>(s.rm->total_nodes()) * 2;
@@ -338,13 +351,23 @@ std::string PatchGuardError(const std::string& guard, const std::string& key,
   return "ForkWithPatch rejected [guard=" + guard + " key=" + key + "]: " + detail;
 }
 
-/// The stateless built-in scheduler family: a fresh registry build is
-/// behaviourally identical to a clone, which is what lets a branch swap
-/// policy/backfill/scheduler at its first-effect bound.  External couplings
-/// (scheduleflow, fastsim) carry cross-step state and may read options the
-/// patch changes, so they are outside the forkable set.
-bool PatchableScheduler(const std::string& name) {
-  return name == "default" || name == "experimental";
+/// How to get past the PatchForkRefusal `guard` that refuses every patch of
+/// a run under `base`.
+std::string RefusalDetail(const std::string& guard, const ScenarioSpec& base) {
+  if (guard == "record_history") {
+    return "recorded history channels depend on the patched options (throttle, "
+           "max_inlet), so the captured prefix cannot match a straight run's; "
+           "run with record_history = false or run the variant from scratch";
+  }
+  if (guard == "scheduler") {
+    return "scheduler '" + base.scheduler +
+           "' is an external coupling whose state may depend on the patched "
+           "option; only the built-in family (default/experimental) forks";
+  }
+  return "policy '" + base.policy +
+         "' plans node power states against the live wall power and the "
+         "effective cap, so its trajectory is not invariant under the "
+         "patch; run the variant from scratch";
 }
 
 bool IsSchedulerSwapKey(const std::string& key) {
@@ -366,34 +389,30 @@ bool TransientTripConfigured(const SystemConfig& config) {
 
 }  // namespace
 
+bool PatchableScheduler(const std::string& name) {
+  return name == "default" || name == "experimental";
+}
+
+const char* PatchForkRefusal(const ScenarioSpec& spec) {
+  if (spec.record_history) return "record_history";
+  if (!PatchableScheduler(spec.scheduler)) return "scheduler";
+  EnsureBuiltinComponents();
+  if (PolicyRegistry().Has(spec.policy) &&
+      PolicyRegistry().Get(spec.policy).needs_power_states) {
+    return "power_state_policy";
+  }
+  return nullptr;
+}
+
 std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& snap,
                                                       const std::string& key,
                                                       const JsonValue& value) {
   EnsureBuiltinComponents();
   const ScenarioSpec& base = snap.spec();
-  if (base.record_history) {
-    throw std::invalid_argument(PatchGuardError(
-        "record_history", key,
-        "recorded history channels depend on the patched options (throttle, "
-        "max_inlet), so the captured prefix cannot match a straight run's; "
-        "run with record_history = false or run the variant from scratch"));
-  }
-  if (!PatchableScheduler(base.scheduler)) {
-    throw std::invalid_argument(PatchGuardError(
-        "scheduler", key,
-        "scheduler '" + base.scheduler +
-            "' is an external coupling whose state may depend on the patched "
-            "option; only the built-in family (default/experimental) forks"));
+  if (const char* guard = PatchForkRefusal(base)) {
+    throw std::invalid_argument(PatchGuardError(guard, key, RefusalDetail(guard, base)));
   }
   const PolicyDef& base_policy = PolicyRegistry().Get(base.policy);
-  if (base_policy.needs_power_states) {
-    throw std::invalid_argument(PatchGuardError(
-        "power_state_policy", key,
-        "policy '" + base.policy +
-            "' plans node power states against the live wall power and the "
-            "effective cap, so its trajectory is not invariant under the "
-            "patch; run the variant from scratch"));
-  }
 
   ScenarioSpec patched = base;
   ApplyScenarioKey(patched, key, value);  // strict parse; throws on bad input

@@ -12,12 +12,12 @@
 // active (tests/test_snapshot.cc).  One snapshot can be forked any number of
 // times; forks are fully independent.
 //
-// ForkWithGrid() is the what-if variant the prefix-sharing sweep engine
-// builds on: it resumes under *re-scaled* price/carbon signals (same
-// boundary times, same DR windows) and replays cost/CO2 accounting from the
-// per-tick energy basis captured with ScenarioSpec::capture_grid_basis —
-// so one trajectory, run once, prices out under N tariffs with accounting
-// bit-identical to N full runs.
+// ForkWithGrid() is the what-if variant the snapshot-tree sweep (at its
+// leaves) and the scenario service build on: it resumes under *re-scaled*
+// price/carbon signals (same boundary times, same DR windows) and replays
+// cost/CO2 accounting from the per-tick energy basis captured with
+// ScenarioSpec::capture_grid_basis — so one trajectory, run once, prices out
+// under N tariffs with accounting bit-identical to N full runs.
 //
 // There is deliberately no disk serialisation: a snapshot is an in-memory
 // object for cheap exploration of many what-ifs within one process, the
@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "accounts/accounts.h"
 #include "config/system_config.h"
@@ -37,6 +38,27 @@ namespace sraps {
 
 class Scheduler;
 class Simulation;
+
+/// The stateless built-in scheduler family ("default", "experimental"): a
+/// fresh registry build behaves exactly like a clone, which is what lets
+/// Simulation::ForkWithPatch swap policy/backfill/scheduler mid-run.  The
+/// external couplings carry cross-step state and may read the patched
+/// option, so they are outside the forkable set.
+bool PatchableScheduler(const std::string& name);
+
+/// The guard under which Simulation::ForkWithPatch refuses *every* patch of
+/// a run under `spec` — "record_history", "scheduler" (not a
+/// PatchableScheduler) or "power_state_policy" (a policy that plans node
+/// power states) — or nullptr when a snapshot of that run can take patch
+/// forks.  The sweep tree asks this per root before it runs anything.
+const char* PatchForkRefusal(const ScenarioSpec& spec);
+
+/// Stable 64-bit digest of an engine state (SimStateSnapshot::Fingerprint).
+std::uint64_t EngineStateFingerprint(const EngineState& state);
+
+/// Estimated resident bytes of an engine state's variable-size parts plus
+/// sizeof(EngineState) (SimStateSnapshot::ApproxBytes).
+std::size_t EngineStateBytes(const EngineState& state);
 
 /// A self-contained, deep-copied capture of a Simulation between engine
 /// steps.  Move-only (it owns a cloned scheduler), but const-forkable any
@@ -63,16 +85,19 @@ class SimStateSnapshot {
   /// Stable 64-bit digest of the captured mutable state: the engine clock,
   /// cursors and counters, every job's realised schedule, the completion
   /// heap (order included), per-job energy / grid cost / CO2 bit patterns,
-  /// the completion-record digest, and the cooling-loop temperature.  Two
-  /// snapshots of bit-identical state fingerprint equal; advancing the
-  /// source by even one tick changes the fingerprint.  This is the cache
-  /// key / determinism probe of the scenario service (src/serve/).
+  /// the completion-record digest, thermal counters and state (inlets, CDU
+  /// loops, rack RC temperatures, trip flags), and the cooling-loop
+  /// temperature.  Two snapshots of bit-identical state fingerprint equal;
+  /// advancing the source by even one tick changes the fingerprint.  This
+  /// is the cache key / determinism probe of the scenario service
+  /// (src/serve/).
   std::uint64_t Fingerprint() const;
 
   /// Estimated resident size of the snapshot in bytes (job table with
   /// traces, recorded telemetry, heap/cursor vectors, completion records,
-  /// grid basis).  An O(state) walk of vector sizes — an accounting figure
-  /// for cache eviction budgets, not an allocator-exact measurement.
+  /// grid basis, per-node and per-CDU thermal state).  An O(state) walk of
+  /// vector sizes — an accounting figure for cache eviction budgets, not an
+  /// allocator-exact measurement.
   std::size_t ApproxBytes() const;
 
  private:

@@ -1572,7 +1572,8 @@ void SimulationEngine::RunUntil(SimTime t) {
 
 void SimulationEngine::RunUntilExact(SimTime t) {
   span_limit_ = t;
-  while (now_ < t && StepOnce()) {
+  const SimTime untripped = std::numeric_limits<SimTime>::max();
+  while (now_ < t && power_watch_tripped_at_ == untripped && StepOnce()) {
   }
   span_limit_ = std::numeric_limits<SimTime>::max();
 }

@@ -204,7 +204,8 @@ class SimulationEngine {
   /// n ticks equals a+b ticks operation for operation — and only the
   /// calendar_steps/batched_ticks counters (diagnostics, not results)
   /// differ.  This is what lets a snapshot-tree sweep stop at an arbitrary
-  /// first-effect bound and fork there (sweep/tree).
+  /// first-effect bound and fork there (sweep/tree).  A power watch
+  /// (SetPowerWatch) that has tripped ends the call after the tripping step.
   void RunUntilExact(SimTime t);
 
   // --- power watch (first-effect probe for power_cap_w sweeps) -------------
@@ -212,7 +213,8 @@ class SimulationEngine {
   /// sampled wall demand exceeds `threshold_w` while jobs draw busy power —
   /// exactly the condition under which a run capped at `threshold_w` (or any
   /// tighter cap) would first throttle and diverge from this one.  Purely
-  /// observational: the trajectory is untouched.  0 disarms.
+  /// observational: the trajectory is untouched, but RunUntilExact returns
+  /// early once the watch has tripped.  0 disarms.
   void SetPowerWatch(double threshold_w);
   /// The step-start time at which the armed watch first tripped, or
   /// SimTime max while it has not.

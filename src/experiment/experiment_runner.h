@@ -77,8 +77,8 @@ class Simulation;
 
 /// Fills the metric fields of `r` (counters, waits, makespan, energy, grid
 /// cost/CO2, power/util/PUE means, fingerprint, window, wall seconds) from a
-/// finished simulation.  Shared by RunScenarioSpec and the prefix-sharing
-/// sweep's fork path, so a forked scenario's row is computed by the very
+/// finished simulation.  Shared by RunScenarioSpec, the sweep tree's forks
+/// and the scenario service, so a forked scenario's row is computed by the very
 /// same code — and therefore the very same floating-point operations — as a
 /// from-scratch run's.  Does not touch r.name/r.spec/r.ok/r.error.
 void ExtractScenarioMetrics(const Simulation& sim, ScenarioResult& r,

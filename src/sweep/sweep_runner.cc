@@ -14,11 +14,8 @@
 #include "common/csv.h"
 #include "common/mathutil.h"
 #include "common/thread_pool.h"
-#include "core/simulation.h"
 #include "core/simulation_builder.h"
-#include "core/snapshot.h"
 #include "dataloaders/dataloader.h"
-#include "sweep/prefix_share.h"
 #include "sweep/tree/tree_runner.h"
 
 namespace sraps {
@@ -482,61 +479,6 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
     }
   };
 
-  // Prefix sharing: one simulated trajectory per group, then one fork (deep
-  // state copy + accounting replay) per remaining member — never a second
-  // full run.  Rows come out of ExtractScenarioMetrics either way, so a
-  // forked row is computed by the same code, and the fold/shard machinery
-  // below cannot tell the difference: output files stay bit-identical to
-  // the plain path.  ANY failure in the shared phase (a scenario that would
-  // also fail plainly, but equally an unclonable plugin scheduler or a fork
-  // refusal) falls back to plain per-member runs, so turning sharing on can
-  // never change the results — only the wall clock.
-  auto run_group = [&](const SharePlan::Group& group) {
-    std::vector<SweepRow> rows;
-    rows.reserve(group.indices.size());
-    try {
-      ExpandedScenario rep = spec_.Expand(group.indices.front());
-      resolve_workload(rep);
-      // The shared trajectory records the per-tick energy basis the forks
-      // replay their cost/CO2 from.  The flag changes no simulated value.
-      rep.spec.capture_grid_basis = true;
-      auto shared = SimulationBuilder(std::move(rep.spec)).Build();
-      shared->Run();
-      const SimStateSnapshot snap = shared->Snapshot();
-      // The representative's metrics come straight off the shared run (its
-      // live accounting is what the forks' replay reproduces) — one fewer
-      // deep state copy per group.
-      {
-        ExpandedScenario member = spec_.Expand(group.indices.front());
-        ScenarioResult result;
-        result.name = member.spec.name;
-        ExtractScenarioMetrics(*shared, result, /*capture_stats_json=*/false);
-        result.ok = true;
-        rows.push_back(RowFromResult(result, group.indices.front(),
-                                     std::move(member.axis_values)));
-      }
-      shared.reset();  // the snapshot is self-contained
-      for (std::size_t m = 1; m < group.indices.size(); ++m) {
-        const std::size_t i = group.indices[m];
-        ExpandedScenario member = spec_.Expand(i);  // cheap: spec copy + patch
-        ScenarioResult result;
-        result.name = member.spec.name;
-        // The fork is already at sim_end (the shared run finished); only
-        // the grid accounting is recomputed for this member's signals.
-        auto fork = Simulation::ForkWithGrid(snap, member.spec.grid);
-        ExtractScenarioMetrics(*fork, result, /*capture_stats_json=*/false);
-        result.ok = true;
-        rows.push_back(RowFromResult(result, i, std::move(member.axis_values)));
-      }
-    } catch (const std::exception&) {
-      // Plain-path fallback: re-runs members individually, capturing any
-      // genuine per-scenario failure exactly as the non-sharing path would.
-      rows.clear();
-      for (const std::size_t i : group.indices) rows.push_back(run_one(i));
-    }
-    return rows;
-  };
-
   auto fold_row = [&](SweepRow row) {
     const std::size_t i = row.index;
     std::vector<std::string> cells;
@@ -591,54 +533,19 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
   };
 
   // Execution path: the snapshot tree when requested and at least one axis
-  // is bounded (it subsumes prefix sharing — neutral axes resolve through
-  // the same accounting replay at its leaves); else prefix sharing when
-  // requested and worthwhile; else one plain run per scenario.  All three
-  // produce bit-identical rows, shards, and aggregates.
+  // is bounded; else one plain run per scenario.  Both produce
+  // bit-identical rows, shards, and aggregates.
   if (options.tree) {
     SnapshotTreeRunner tree(spec_, resolve_workload, run_one);
     if (tree.worthwhile()) {
       summary.tree_used = true;
       summary.tree_stats = tree.Run(begin, end, options.threads,
                                     [&](SweepRow row) { fold_row(std::move(row)); });
-      summary.simulated_trajectories = summary.tree_stats.roots +
-                                       summary.tree_stats.probe_runs +
-                                       summary.tree_stats.fallback_scenarios;
-      summary.forked_scenarios = summary.tree_stats.forks;
     }
   }
   if (!summary.tree_used) {
-    SharePlan plan;
-    if (options.share_prefix) {
-      plan = PlanPrefixSharing(spec_);
-      if (!full_range) {
-        // Keep only in-range members; a group whose members all fall
-        // outside the range disappears.
-        for (SharePlan::Group& g : plan.groups) {
-          g.indices.erase(std::remove_if(g.indices.begin(), g.indices.end(),
-                                         [&](std::size_t i) {
-                                           return i < begin || i >= end;
-                                         }),
-                          g.indices.end());
-        }
-        plan.groups.erase(std::remove_if(plan.groups.begin(), plan.groups.end(),
-                                         [](const SharePlan::Group& g) {
-                                           return g.indices.empty();
-                                         }),
-                          plan.groups.end());
-      }
-    }
-    const bool sharing = options.share_prefix && plan.worthwhile();
-    const std::size_t work_units = sharing ? plan.groups.size() : end - begin;
-    summary.simulated_trajectories = work_units;
-    summary.forked_scenarios = sharing ? (end - begin) - plan.groups.size() : 0;
-
-    ParallelIndexFor(work_units, options.threads, [&](std::size_t u) {
-      if (sharing) {
-        for (SweepRow& row : run_group(plan.groups[u])) fold_row(std::move(row));
-      } else {
-        fold_row(run_one(begin + u));
-      }
+    ParallelIndexFor(end - begin, options.threads, [&](std::size_t u) {
+      fold_row(run_one(begin + u));
     });
   }
 

@@ -154,21 +154,12 @@ struct SweepOptions {
   std::string output_dir;
   /// Scenarios per CSV shard.
   std::size_t shard_size = 256;
-  /// Prefix sharing (`--sweep-share-prefix`): group scenarios that differ
-  /// only in trajectory-neutral axes (grid.price.scale / grid.carbon.scale
-  /// under a non-grid-reactive policy; see sweep/prefix_share.h), simulate
-  /// each group's trajectory ONCE with the per-tick energy basis captured,
-  /// snapshot, and fork per variant with cost/CO2 replayed
-  /// (Simulation::ForkWithGrid).  Every output file stays bit-identical to
-  /// the non-sharing path; only the wall clock changes.  Sweeps with no
-  /// neutral axis silently use the plain path.
-  bool share_prefix = false;
   /// Snapshot-tree execution (`--sweep-tree`): classify every axis by its
   /// first-effect time (sweep/tree/first_effect.h), run one shared
-  /// trajectory per immediate-axis combination, and fork branches at each
-  /// bounded axis's bound (sweep/tree/tree_runner.h).  Subsumes
-  /// share_prefix (trajectory-neutral axes resolve through the same
-  /// accounting replay at the leaves), so when both are set the tree wins.
+  /// trajectory per immediate-axis combination, fork branches at each
+  /// bounded axis's bound, and resolve trajectory-neutral axes
+  /// (grid.price.scale / grid.carbon.scale under policies that ignore signal
+  /// values) by accounting replay at the leaves (sweep/tree/tree_runner.h).
   /// Every output file stays bit-identical to the plain path; sweeps where
   /// no axis is bounded silently use the plain path.
   bool tree = false;
@@ -203,12 +194,6 @@ struct SweepSummary {
   double wall_seconds = 0.0;
   /// Up to five distinct failure messages, for operator triage.
   std::vector<std::string> sample_errors;
-  /// Prefix sharing: trajectories actually simulated (== total on the plain
-  /// path; == group count when sharing engaged; == roots + probes +
-  /// fallback reruns on the tree path) and scenarios that were resolved by
-  /// forking a shared snapshot instead of a full run.
-  std::size_t simulated_trajectories = 0;
-  std::size_t forked_scenarios = 0;
   /// Snapshot-tree execution: whether the tree actually engaged (tree
   /// requested AND at least one bounded multi-value axis), and its shape /
   /// savings.  Also written to tree_stats.json next to the shards — never

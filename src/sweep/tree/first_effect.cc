@@ -4,29 +4,56 @@
 #include <limits>
 
 #include "core/simulation_builder.h"
+#include "core/snapshot.h"
 #include "grid/grid_environment.h"
 #include "sched/policies.h"
 
 namespace sraps {
+
+bool PolicyIgnoresGridValues(const std::string& policy) {
+  EnsureBuiltinComponents();
+  if (!PolicyRegistry().Has(policy)) return false;
+  return !PolicyRegistry().Get(policy).needs_grid;
+}
+
+bool SchedulerIgnoresGridValues(const std::string& scheduler) {
+  return scheduler == "default" || scheduler == "experimental" ||
+         scheduler == "scheduleflow" || scheduler == "fastsim";
+}
+
+std::vector<std::string> AxisValuesInPlay(const SweepSpec& spec,
+                                          const std::string& key,
+                                          const std::string& base_value) {
+  for (const SweepAxis& axis : spec.axes) {
+    if (axis.key == key) {
+      std::vector<std::string> names;
+      names.reserve(axis.values.size());
+      for (const JsonValue& v : axis.values) {
+        names.push_back(v.is_string() ? v.AsString() : v.Dump(0));
+      }
+      return names;
+    }
+  }
+  return {base_value};
+}
+
 namespace {
 
 bool IsGridScaleKey(const std::string& key) {
   return key == "grid.price.scale" || key == "grid.carbon.scale";
 }
 
+/// A positive finite scale keeps the signal a valid signal; anything else
+/// would be rejected at Build and must not be treated as neutral.
 bool IsValidScale(const JsonValue& v) {
   if (!v.is_number()) return false;
   const double d = v.AsDouble();
   return d > 0.0 && d < std::numeric_limits<double>::infinity();
 }
 
-/// The schedulers ForkWithPatch can rebuild mid-run (stateless built-ins);
-/// deliberately narrower than SchedulerIgnoresGridValues — the external
-/// couplings carry cross-step state, so they share NEUTRAL prefixes but
-/// cannot be forked with a patched option.
-bool PatchableScheduler(const std::string& name) {
-  return name == "default" || name == "experimental";
-}
+// PatchableScheduler (core/snapshot.h) is deliberately narrower than
+// SchedulerIgnoresGridValues: the external couplings carry cross-step state,
+// so they share NEUTRAL prefixes but cannot be forked with a patched option.
 
 /// True when `policy` is a registered built-in a schedule-swap fork can
 /// start or land on: not replay (placements anchored to recorded
@@ -157,14 +184,14 @@ std::vector<AxisFirstEffect> ClassifySweepAxes(const SweepSpec& spec) {
   // Recorded history channels depend on the patched option (throttle,
   // inlet peaks), so every ForkWithPatch class needs recording off.  The
   // accounting replay of kNeutral reproduces its channels exactly, so that
-  // class keeps working with history on (same contract as prefix sharing).
+  // class keeps working with history on.
   // Likewise, when every policy in play plans node power states
   // (race_to_idle / pace_to_cap everywhere), ForkWithPatch refuses every
   // fork — its trajectory reads the live wall power and effective cap — so
-  // no root could ever fork and the whole tree would be probe + fallback
-  // waste.  A mixed policy axis keeps the classes: the swap-safe roots
-  // still fork, the power-state roots fall back at run time (same partial
-  // story as an external scheduler in play).
+  // no root could ever fork.  A mixed policy axis keeps the classes: the
+  // swap-safe roots still fork, and the runner runs the power-state roots
+  // one trajectory per bounded-value combination (PatchForkRefusal), the
+  // same as roots under an external scheduler.
   const bool patchable = !spec.base.record_history && !ctx.all_power_state;
 
   std::vector<AxisFirstEffect> plan(spec.axes.size());

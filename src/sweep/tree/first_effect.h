@@ -1,17 +1,17 @@
-// Generalized first-effect classification for sweep axes — the snapshot-tree
-// runner's planning layer (tree_runner.h executes the plan).
+// First-effect classification for sweep axes — the snapshot-tree runner's
+// planning layer (tree_runner.h executes the plan).
 //
-// prefix_share.h's first generation recognised a trichotomy: trajectory-
-// neutral grid scales, DR windows (bounded but unexploited), and everything
-// else (first effect = sim start, no sharing).  This module classifies every
-// axis into one of six classes, each with a conservative lower bound on the
-// first simulated time at which a branch carrying one of the axis's values
-// can diverge from a shared run carrying the axis's neutral value:
+// Every sweep scenario would re-simulate from t=0, even when many variants
+// share an identical prefix: the same workload and schedule until the swept
+// knob first matters.  This module classifies every axis into one of six
+// classes, each with a conservative lower bound on the first simulated time
+// at which a branch carrying one of the axis's values can diverge from a
+// shared run carrying the axis's neutral value:
 //
 //   kNeutral       grid.price.scale / grid.carbon.scale under policies and
 //                  schedulers that ignore signal values.  Never diverges;
 //                  branches fork at sim_end with the accounting replayed
-//                  (Simulation::ForkWithGrid), exactly like --sweep-share-prefix.
+//                  (Simulation::ForkWithGrid).
 //   kPowerCap      power_cap_w.  A cap first matters at the first step whose
 //                  pre-cap demand exceeds it; below that the throttle is
 //                  provably 1.0 and the uncapped shared run IS the capped
@@ -60,14 +60,39 @@
 #pragma once
 
 #include <cstddef>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/json.h"
-#include "sweep/prefix_share.h"
 #include "sweep/sweep_spec.h"
 
 namespace sraps {
+
+/// Sentinel for "this value can never diverge the trajectory" (accounting-
+/// only knobs).
+inline constexpr SimTime kTrajectoryNeutral = std::numeric_limits<SimTime>::max();
+
+/// True when `policy` (a PolicyRegistry name) is known NOT to read grid
+/// signal values.  Unknown names count as reactive — conservative: an
+/// unregistered policy would fail at Build anyway, and a plugin policy we
+/// cannot introspect must not be assumed scale-invariant.
+bool PolicyIgnoresGridValues(const std::string& policy);
+
+/// True for schedulers known not to read grid signal *values* outside the
+/// policy mechanism: the built-in scheduler (whose grid use is exactly the
+/// registered policies, judged separately) and the bundled external
+/// couplings (which never see the grid at all).  A plugin scheduler is NOT
+/// assumed safe — it receives a grid pointer through its factory context
+/// and could steer on prices, so grid scale axes stay immediate under it.
+bool SchedulerIgnoresGridValues(const std::string& scheduler);
+
+/// Every value of the `key` axis of `spec`, as strings — or `base_value`
+/// when the sweep has no such axis.  The classifier's way of asking "which
+/// policies/schedulers can this sweep put in force?".
+std::vector<std::string> AxisValuesInPlay(const SweepSpec& spec,
+                                          const std::string& key,
+                                          const std::string& base_value);
 
 enum class AxisClass {
   kNeutral,
@@ -103,7 +128,7 @@ struct AxisFirstEffect {
 /// its own whitelist).  Result is indexed like spec.axes.
 std::vector<AxisFirstEffect> ClassifySweepAxes(const SweepSpec& spec);
 
-/// Generalized FirstEffectTime over a whole axis: a conservative lower
+/// First-effect time of a whole axis: a conservative lower
 /// bound on the first simulated time at which running `base` patched with
 /// ANY of `values` on `key` can differ from running `base` with the axis's
 /// shared-trajectory value — kTrajectoryNeutral when it provably never can.

@@ -1,29 +1,35 @@
 // SnapshotTreeRunner: executes a sweep's scenario grid as a tree of forked
-// simulations instead of one independent run per scenario.
+// simulations instead of one independent run per scenario.  It is the
+// sweep's only sharing path.
 //
 // The classifier (first_effect.h) splits the axes into immediate axes (no
 // usable bound) and bounded axes (kNeutral / kPowerCap / kDrWindows /
 // kFirstSchedule / kSupplyTemp).  Scenarios that agree on every immediate
-// axis form one tree ROOT: a single shared trajectory is built with every
-// bounded axis neutralised (cap lifted, DR windows cleared, rep's values
+// axis form one tree ROOT.  A root forks every bounded axis with more than
+// one value among its members: a single shared trajectory is built with
+// those axes neutralised (cap lifted, DR windows cleared, rep's values
 // elsewhere), stepped to the earliest first-effect bound, snapshotted, and
 // forked once per value of that axis (Simulation::ForkWithPatch); each
-// branch recurses on the remaining bounded axes in bound order.  Leaves
-// carrying trajectory-neutral grid-scale variants resolve them through the
-// accounting replay (Simulation::ForkWithGrid), exactly like
-// --sweep-share-prefix.  A power-cap axis has no useful static bound, so the
-// runner arms a demand watch on a throwaway probe of the shared trajectory
-// (SimulationEngine::SetPowerWatch) and forks at the trip time, clamped to
-// every other bounded axis's bound — the probe only witnesses the unforked
-// trajectory, so the cap fork must happen before any other fork can change
-// it.
+// branch recurses on the remaining forked axes in bound order.  A root whose
+// own scheduler or policy makes ForkWithPatch refuse every patch
+// (PatchForkRefusal, core/snapshot.h) forks nothing: its members are split
+// by their bounded values, and each part runs one trajectory with its own
+// values.  Leaves carrying trajectory-neutral grid-scale variants resolve
+// them through the accounting replay (Simulation::ForkWithGrid); a part
+// with nothing to share runs the plain way.  A power-cap axis has no useful
+// static bound, so the root runs with a demand watch armed
+// (SimulationEngine::SetPowerWatch) up to every other forked axis's bound —
+// the watch only witnesses the unforked trajectory, so the cap fork must
+// happen before any other fork can change it.  If the watch stays quiet the
+// cap forks there; if it trips, that pass was a probe, and the root is
+// re-run to the trip time.
 //
 // Contract: every row a tree run emits is bit-identical to the plain path's
 // row for the same scenario (the leaf flows through ExtractScenarioMetrics
 // and the same row projection), so shards and aggregates hash identically —
 // CI diffs them.  Any run-time refusal (a ForkWithPatch guard, an
 // uncloneable scheduler, a scenario the plain path would reject) falls the
-// whole root back to plain per-scenario runs, reproducing plain rows
+// whole part back to plain per-scenario runs, reproducing plain rows
 // including plain failure rows.  Turning the tree on can change only the
 // wall clock, never a byte of output.
 #pragma once

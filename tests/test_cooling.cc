@@ -2,12 +2,10 @@
 // of the lumped thermo-fluid model.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
 #include "config/system_config.h"
 #include "cooling/cooling_model.h"
-#include "cooling/multi_cdu.h"
 
 namespace sraps {
 namespace {
@@ -135,29 +133,6 @@ TEST(CoolingTest, StableUnderLongTicks) {
   }
   EXPECT_TRUE(monotone) << "temperature oscillated under long ticks";
   EXPECT_LT(m.loop_temp_c(), 100.0) << "diverged";
-}
-
-TEST(MultiCduTest, StepUniformIsBitwiseEqualToExplicitUniformSplit) {
-  // StepUniform is a thin forwarder onto the one Step path; feeding Step the
-  // uniform split by hand must reproduce it bit for bit — the regression
-  // guard for the single-path refactor.
-  CoolingSpec spec = MakeSystemConfig("mini").cooling;
-  spec.num_cdus = 4;
-  MultiCduCoolingModel a(spec), b(spec);
-  const double it_w = spec.design_it_load_kw * 1000.0 * 0.6;
-  a.Reset(it_w * 0.5);
-  b.Reset(it_w * 0.5);
-  const std::vector<double> uniform(4, it_w / 4.0);
-  for (int i = 0; i < 200; ++i) {
-    const MultiCduSample sa = a.StepUniform(it_w, 500.0, 30.0);
-    const MultiCduSample sb = b.Step(uniform, 500.0, 30.0);
-    ASSERT_EQ(std::memcmp(&sa.facility, &sb.facility, sizeof sa.facility), 0);
-    ASSERT_EQ(sa.cdus.size(), sb.cdus.size());
-    ASSERT_EQ(std::memcmp(sa.cdus.data(), sb.cdus.data(),
-                          sa.cdus.size() * sizeof(CduState)),
-              0);
-    ASSERT_EQ(std::memcmp(&sa.spread_c, &sb.spread_c, sizeof sa.spread_c), 0);
-  }
 }
 
 // Property sweep: steady-state loop temperature rises monotonically in load.

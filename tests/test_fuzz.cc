@@ -25,6 +25,15 @@ struct FuzzCase {
   double cap_fraction;  // 0 = uncapped
 };
 
+// Without this, gtest prints the case as raw bytes, including the policy and
+// backfill pointers; under ASLR that made the discovered ctest names change
+// on every build.
+void PrintTo(const FuzzCase& fc, std::ostream* os) {
+  *os << "seed" << fc.seed << '_' << fc.policy << '_' << fc.backfill;
+  if (fc.outages) *os << "_outages";
+  if (fc.cap_fraction > 0) *os << "_cap" << fc.cap_fraction;
+}
+
 class EngineFuzz : public ::testing::TestWithParam<FuzzCase> {};
 
 TEST_P(EngineFuzz, InvariantsHold) {
@@ -710,12 +719,17 @@ INSTANTIATE_TEST_SUITE_P(Seeds, TransientThermalJsonFuzz,
 
 CoolingSpec FrontierSpec() { return MakeSystemConfig("frontier").cooling; }
 
+/// `it_power_w` split evenly across the model's CDUs.
+std::vector<double> UniformSplit(const MultiCduCoolingModel& m, double it_power_w) {
+  return std::vector<double>(m.num_cdus(), it_power_w / m.num_cdus());
+}
+
 TEST(MultiCduTest, UniformHeatGivesZeroSpread) {
   MultiCduCoolingModel m(FrontierSpec());
   const double load = FrontierSpec().design_it_load_kw * 800.0;
   m.Reset(load);
   MultiCduSample s{};
-  for (int i = 0; i < 50; ++i) s = m.StepUniform(load, 0, 60.0);
+  for (int i = 0; i < 50; ++i) s = m.Step(UniformSplit(m, load), 0, 60.0);
   EXPECT_NEAR(s.spread_c, 0.0, 1e-6);
   EXPECT_EQ(static_cast<int>(s.cdus.size()), m.num_cdus());
 }
@@ -736,7 +750,7 @@ TEST(MultiCduTest, SkewedHeatCreatesHotSpot) {
   MultiCduCoolingModel uniform(spec);
   uniform.Reset(total);
   MultiCduSample u{};
-  for (int i = 0; i < 100; ++i) u = uniform.StepUniform(total, 0, 60.0);
+  for (int i = 0; i < 100; ++i) u = uniform.Step(UniformSplit(uniform, total), 0, 60.0);
   EXPECT_NEAR(s.facility.tower_return_temp_c, u.facility.tower_return_temp_c, 0.2);
 }
 
@@ -766,10 +780,10 @@ TEST(MultiCduTest, SecondaryLoopLagsStep) {
   const double low = FrontierSpec().design_it_load_kw * 300.0;
   const double high = FrontierSpec().design_it_load_kw * 900.0;
   m.Reset(low);
-  const double before = m.StepUniform(low, 0, 10.0).cdus[0].return_temp_c;
-  const double after_1step = m.StepUniform(high, 0, 10.0).cdus[0].return_temp_c;
+  const double before = m.Step(UniformSplit(m, low), 0, 10.0).cdus[0].return_temp_c;
+  const double after_1step = m.Step(UniformSplit(m, high), 0, 10.0).cdus[0].return_temp_c;
   MultiCduSample settled{};
-  for (int i = 0; i < 500; ++i) settled = m.StepUniform(high, 0, 60.0);
+  for (int i = 0; i < 500; ++i) settled = m.Step(UniformSplit(m, high), 0, 60.0);
   EXPECT_GT(after_1step, before);                          // moving up
   EXPECT_GT(settled.cdus[0].return_temp_c, after_1step);   // not yet settled
 }

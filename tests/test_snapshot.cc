@@ -7,7 +7,7 @@
 // cases: fork at t=0, fork at sim_end, fork mid-outage, fork with jobs
 // mid-throttle under a DR cap, double-fork independence, snapshots that
 // outlive their source, and the ForkWithGrid re-scaled-accounting path the
-// prefix-sharing sweep builds on.
+// sweep tree's price/carbon-scale leaves build on.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -307,6 +307,37 @@ TEST(SnapshotTest, ThermalStateChangesTheFingerprint) {
   a->RunUntil(2 * kHour);
   b->RunUntil(2 * kHour);
   EXPECT_NE(a->Snapshot().Fingerprint(), b->Snapshot().Fingerprint());
+}
+
+TEST(SnapshotTest, ThermalCountersAndStateAreDigestedAndSized) {
+  // Each field below is perturbed on its own: the digest must see the trip
+  // counters, and the size estimate the inlet and per-CDU state.
+  ScenarioSpec spec = ThermalSpec(true);
+  spec.cooling = true;  // per-CDU loops on the topology
+  auto sim = SimulationBuilder(spec).Build();
+  sim->RunUntil(7 * kHour);
+  const EngineState state = sim->engine().CaptureState();
+  ASSERT_FALSE(state.node_inlet_c.empty());
+  ASSERT_TRUE(state.multi_cooling.has_value());
+
+  const std::uint64_t digest = EngineStateFingerprint(state);
+  EngineState trips = state;
+  ++trips.counters.thermal_trips;
+  EXPECT_NE(EngineStateFingerprint(trips), digest);
+  EngineState clears = state;
+  ++clears.counters.thermal_clears;
+  EXPECT_NE(EngineStateFingerprint(clears), digest);
+
+  const std::size_t bytes = EngineStateBytes(state);
+  EngineState no_inlets = state;
+  no_inlets.node_inlet_c.clear();
+  EXPECT_EQ(bytes - EngineStateBytes(no_inlets),
+            state.node_inlet_c.size() * sizeof(double));
+  EngineState no_cdus = state;
+  no_cdus.multi_cooling.reset();
+  EXPECT_GE(bytes - EngineStateBytes(no_cdus),
+            state.multi_cooling->cdu_states().size() * sizeof(CduState));
+  EXPECT_EQ(sim->Snapshot().ApproxBytes(), sizeof(SimStateSnapshot) + bytes);
 }
 
 TEST(SnapshotTest, DoubleForkFromOneSnapshotIsIndependent) {

@@ -12,9 +12,9 @@
 
 #include "config/system_config.h"
 #include "report/sweep_report.h"
-#include "sweep/prefix_share.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
+#include "sweep/tree/first_effect.h"
 #include "workload/synthetic.h"
 
 namespace sraps {
@@ -426,9 +426,11 @@ TEST(SweepRunnerTest, MachinesClassMixAxisRunsEveryScenario) {
 
   // A machines axis is never trajectory-neutral: no prefix sharing.
   EXPECT_EQ(FirstEffectTime(sweep.base, "machines.cpu.nodes",
-                            JsonValue(static_cast<std::int64_t>(16))),
+                            {JsonValue(static_cast<std::int64_t>(16))}),
             0);
-  EXPECT_TRUE(PlanPrefixSharing(sweep).neutral_axes.empty());
+  for (const AxisFirstEffect& fe : ClassifySweepAxes(sweep)) {
+    EXPECT_EQ(fe.cls, AxisClass::kImmediate) << sweep.axes[fe.axis].key;
+  }
 }
 
 TEST(SweepRunnerTest, ParetoExcludesEmptyAndDominatedRuns) {
@@ -602,11 +604,11 @@ TEST(SweepReportTest, RendersTreeExecutionSectionWhenStatsProvided) {
   EXPECT_NE(html.find("bit-identical"), std::string::npos);
 }
 
-// --- prefix sharing ---------------------------------------------------------
+// --- prefix sharing (the snapshot tree's neutral axes) ----------------------
 
 /// A grid with a price/carbon context and a trajectory-neutral scale axis
 /// next to trajectory-relevant ones: 2 caps x 2 backfills x 3 scales = 12
-/// scenarios in 4 share groups of 3.
+/// scenarios, 4 combinations of the non-neutral axes.
 SweepSpec ScaleGrid() {
   SweepSpec sweep;
   sweep.name = "scalegrid";
@@ -621,18 +623,32 @@ SweepSpec ScaleGrid() {
   return sweep;
 }
 
+/// The axis indices the classifier marks trajectory-neutral.
+std::vector<std::size_t> NeutralAxes(const SweepSpec& sweep) {
+  std::vector<std::size_t> neutral;
+  for (const AxisFirstEffect& fe : ClassifySweepAxes(sweep)) {
+    if (fe.cls == AxisClass::kNeutral) neutral.push_back(fe.axis);
+  }
+  return neutral;
+}
+
+SweepSummary RunTree(const SweepSpec& sweep, SweepOptions options) {
+  options.tree = true;
+  return SweepRunner(sweep).Run(options);
+}
+
 TEST(PrefixShareTest, FirstEffectTimes) {
   const ScenarioSpec base = MiniBase();
-  EXPECT_EQ(FirstEffectTime(base, "grid.price.scale", JsonValue(2.0)),
+  EXPECT_EQ(FirstEffectTime(base, "grid.price.scale", {JsonValue(2.0)}),
             kTrajectoryNeutral);
-  EXPECT_EQ(FirstEffectTime(base, "grid.carbon.scale", JsonValue(0.5)),
+  EXPECT_EQ(FirstEffectTime(base, "grid.carbon.scale", {JsonValue(0.5)}),
             kTrajectoryNeutral);
   // A grid-reactive policy reads the values: nothing is neutral any more.
   ScenarioSpec aware = base;
   aware.policy = "grid_aware";
-  EXPECT_EQ(FirstEffectTime(aware, "grid.price.scale", JsonValue(2.0)), 0);
+  EXPECT_EQ(FirstEffectTime(aware, "grid.price.scale", {JsonValue(2.0)}), 0);
   // A non-positive scale would be rejected at build; never shareable.
-  EXPECT_EQ(FirstEffectTime(base, "grid.price.scale", JsonValue(-1.0)), 0);
+  EXPECT_EQ(FirstEffectTime(base, "grid.price.scale", {JsonValue(-1.0)}), 0);
   // A DR schedule is inert until its earliest window opens.
   JsonArray windows;
   JsonObject w;
@@ -640,35 +656,34 @@ TEST(PrefixShareTest, FirstEffectTimes) {
   w["end"] = JsonValue(static_cast<std::int64_t>(8 * kHour));
   w["cap_w"] = JsonValue(1500.0);
   windows.emplace_back(std::move(w));
-  EXPECT_EQ(FirstEffectTime(base, "grid.dr_windows", JsonValue(std::move(windows))),
+  EXPECT_EQ(FirstEffectTime(base, "grid.dr_windows", {JsonValue(std::move(windows))}),
             6 * kHour);
-  // A static cap can bind on the first tick: no shared prefix.
-  EXPECT_EQ(FirstEffectTime(base, "power_cap_w", JsonValue(1500.0)), 0);
+  // A static cap can bind on the first tick: no static shared prefix.
+  EXPECT_EQ(FirstEffectTime(base, "power_cap_w", {JsonValue(1500.0)}), 0);
 }
 
 TEST(PrefixShareTest, PlanGroupsByNonNeutralAxes) {
-  const SharePlan plan = PlanPrefixSharing(ScaleGrid());
-  ASSERT_EQ(plan.neutral_axes.size(), 1u);
-  EXPECT_EQ(plan.neutral_axes[0], 2u);  // the grid.price.scale axis
-  ASSERT_EQ(plan.groups.size(), 4u);    // 2 caps x 2 backfills
-  ASSERT_TRUE(plan.worthwhile());
-  // Last axis varies fastest: each group holds 3 consecutive indices.
-  for (std::size_t g = 0; g < plan.groups.size(); ++g) {
-    ASSERT_EQ(plan.groups[g].indices.size(), 3u);
-    for (std::size_t k = 0; k < 3; ++k) {
-      EXPECT_EQ(plan.groups[g].indices[k], g * 3 + k);
-    }
-  }
+  // Only the scale axis is neutral.  Under an external scheduler no root
+  // can take patch forks, so the tree splits on the cap and backfill values:
+  // one trajectory per combination, each priced out for 3 scales.
+  SweepSpec sweep = ScaleGrid();
+  sweep.base.scheduler = "scheduleflow";
+  EXPECT_EQ(NeutralAxes(sweep), std::vector<std::size_t>{2});
+  SweepOptions options;
+  options.threads = 1;
+  const SweepSummary s = RunTree(sweep, options);
+  ASSERT_TRUE(s.tree_used);
+  EXPECT_EQ(s.tree_stats.roots, 4u);
+  EXPECT_EQ(s.tree_stats.forks, 12u);  // one accounting replay per scenario
+  EXPECT_EQ(s.tree_stats.max_depth, 0u);
+  EXPECT_EQ(s.tree_stats.Trajectories(), 4u);
 }
 
 TEST(PrefixShareTest, GridAwarePolicyDisablesSharing) {
   SweepSpec sweep = ScaleGrid();
   sweep.base.policy = "grid_aware";
   sweep.base.grid.slack_s = kHour;
-  const SharePlan plan = PlanPrefixSharing(sweep);
-  EXPECT_TRUE(plan.neutral_axes.empty());
-  EXPECT_FALSE(plan.worthwhile());
-  EXPECT_EQ(plan.groups.size(), sweep.ScenarioCount());
+  EXPECT_TRUE(NeutralAxes(sweep).empty());
 }
 
 TEST(PrefixShareTest, PolicyAxisWithGridAwareValueDisablesSharing) {
@@ -677,8 +692,7 @@ TEST(PrefixShareTest, PolicyAxisWithGridAwareValueDisablesSharing) {
   sweep.axes.push_back(SweepAxis(
       "policy", {JsonValue(std::string("fcfs")),
                  JsonValue(std::string("grid_aware"))}));
-  const SharePlan plan = PlanPrefixSharing(sweep);
-  EXPECT_TRUE(plan.neutral_axes.empty());
+  EXPECT_TRUE(NeutralAxes(sweep).empty());
 }
 
 TEST(PrefixShareTest, NonWhitelistedSchedulerDisablesSharing) {
@@ -687,43 +701,56 @@ TEST(PrefixShareTest, NonWhitelistedSchedulerDisablesSharing) {
   // safe, so anything else demotes scale axes to immediate.
   SweepSpec sweep = ScaleGrid();
   sweep.base.scheduler = "my_plugin";
-  EXPECT_TRUE(PlanPrefixSharing(sweep).neutral_axes.empty());
+  EXPECT_TRUE(NeutralAxes(sweep).empty());
 
   SweepSpec axis_sweep = ScaleGrid();
   axis_sweep.axes.push_back(
       SweepAxis("scheduler", {JsonValue(std::string("default")),
                               JsonValue(std::string("my_plugin"))}));
-  EXPECT_TRUE(PlanPrefixSharing(axis_sweep).neutral_axes.empty());
+  EXPECT_TRUE(NeutralAxes(axis_sweep).empty());
 
   // The bundled external couplings never see the grid: still shareable.
   SweepSpec external = ScaleGrid();
   external.base.scheduler = "scheduleflow";
-  EXPECT_FALSE(PlanPrefixSharing(external).neutral_axes.empty());
+  EXPECT_FALSE(NeutralAxes(external).empty());
 }
 
 TEST(SweepRunnerTest, SharePrefixWithExternalSchedulerMatchesPlain) {
-  // scheduleflow keeps private reservation state behind the bridge; sharing
-  // must clone it per fork and reproduce the plain path exactly.
+  // scheduleflow keeps private reservation state behind the bridge: the
+  // tree must clone it per accounting fork, reproduce the plain path
+  // exactly, and never try (and fail) a patch fork or a cap probe.
+  const std::string dir_plain = "test_share_ext_plain";
+  const std::string dir_tree = "test_share_ext_tree";
+  fs::remove_all(dir_plain);
+  fs::remove_all(dir_tree);
   SweepSpec sweep = ScaleGrid();
   sweep.base.scheduler = "scheduleflow";
   SweepOptions options;
   options.threads = 2;
-  const SweepSummary plain = SweepRunner(sweep).Run(options);
-  options.share_prefix = true;
-  const SweepSummary shared = SweepRunner(sweep).Run(options);
-  EXPECT_EQ(shared.simulated_trajectories, 4u);
-  EXPECT_EQ(shared.ok_count, 12u);
-  EXPECT_EQ(plain.aggregates.ToJson().Dump(2), shared.aggregates.ToJson().Dump(2));
+  options.output_dir = dir_plain;
+  SweepRunner(sweep).Run(options);
+  options.output_dir = dir_tree;
+  const SweepSummary tree = RunTree(sweep, options);
+  EXPECT_EQ(tree.ok_count, 12u);
+  EXPECT_EQ(tree.tree_stats.fallback_scenarios, 0u);
+  EXPECT_EQ(tree.tree_stats.probe_runs, 0u);
+  EXPECT_LE(tree.tree_stats.Trajectories(), 4u);
+  for (const char* file : {"rows-00000.csv", "aggregates.json"}) {
+    EXPECT_EQ(ReadFile(dir_plain + "/" + file), ReadFile(dir_tree + "/" + file))
+        << file;
+  }
+  fs::remove_all(dir_plain);
+  fs::remove_all(dir_tree);
 }
 
 TEST(SweepRunnerTest, SharePrefixFailureRowsMatchPlainPath) {
   // A scenario that fails at build time (negative cap) must produce the
-  // SAME failed rows with sharing on — the group falls back to plain
-  // per-member runs instead of inventing its own failure shape.
+  // SAME failed rows on the tree — its root falls back to plain per-member
+  // runs instead of inventing its own failure shape.
   const std::string dir_plain = "test_share_fail_plain";
-  const std::string dir_share = "test_share_fail_on";
+  const std::string dir_tree = "test_share_fail_on";
   fs::remove_all(dir_plain);
-  fs::remove_all(dir_share);
+  fs::remove_all(dir_tree);
 
   SweepSpec sweep = ScaleGrid();
   sweep.axes[0] = SweepAxis("power_cap_w", {JsonValue(0.0), JsonValue(-1.0)});
@@ -732,26 +759,26 @@ TEST(SweepRunnerTest, SharePrefixFailureRowsMatchPlainPath) {
   options.threads = 2;
   options.output_dir = dir_plain;
   const SweepSummary plain = SweepRunner(sweep).Run(options);
-  options.output_dir = dir_share;
-  options.share_prefix = true;
-  const SweepSummary shared = SweepRunner(sweep).Run(options);
+  options.output_dir = dir_tree;
+  const SweepSummary tree = RunTree(sweep, options);
 
   EXPECT_EQ(plain.failed_count, 6u);  // the -1 cap half of 2x2x3
-  EXPECT_EQ(shared.failed_count, 6u);
+  EXPECT_EQ(tree.failed_count, 6u);
+  EXPECT_EQ(tree.tree_stats.fallback_scenarios, 6u);
   EXPECT_EQ(ReadFile(dir_plain + "/rows-00000.csv"),
-            ReadFile(dir_share + "/rows-00000.csv"));
+            ReadFile(dir_tree + "/rows-00000.csv"));
   EXPECT_EQ(ReadFile(dir_plain + "/aggregates.json"),
-            ReadFile(dir_share + "/aggregates.json"));
+            ReadFile(dir_tree + "/aggregates.json"));
 
   fs::remove_all(dir_plain);
-  fs::remove_all(dir_share);
+  fs::remove_all(dir_tree);
 }
 
 TEST(SweepRunnerTest, SharePrefixOutputsBitIdenticalToPlainPath) {
   const std::string dir_plain = "test_sweep_share_plain";
-  const std::string dir_share = "test_sweep_share_on";
+  const std::string dir_tree = "test_sweep_share_on";
   fs::remove_all(dir_plain);
-  fs::remove_all(dir_share);
+  fs::remove_all(dir_tree);
 
   SweepOptions plain;
   plain.threads = 2;
@@ -759,55 +786,58 @@ TEST(SweepRunnerTest, SharePrefixOutputsBitIdenticalToPlainPath) {
   plain.shard_size = 5;  // 12 scenarios -> 3 shards, one partial
   const SweepSummary s_plain = SweepRunner(ScaleGrid()).Run(plain);
 
-  SweepOptions share = plain;
-  share.output_dir = dir_share;
-  share.share_prefix = true;
-  const SweepSummary s_share = SweepRunner(ScaleGrid()).Run(share);
+  SweepOptions tree = plain;
+  tree.output_dir = dir_tree;
+  const SweepSummary s_tree = RunTree(ScaleGrid(), tree);
 
-  EXPECT_EQ(s_plain.simulated_trajectories, 12u);
-  EXPECT_EQ(s_plain.forked_scenarios, 0u);
-  EXPECT_EQ(s_share.simulated_trajectories, 4u);  // one per share group
-  EXPECT_EQ(s_share.forked_scenarios, 8u);
-  EXPECT_EQ(s_share.ok_count, 12u);
+  EXPECT_FALSE(s_plain.tree_used);
+  ASSERT_TRUE(s_tree.tree_used);
+  EXPECT_EQ(s_tree.ok_count, 12u);
+  EXPECT_EQ(s_tree.tree_stats.fallback_scenarios, 0u);
+  // Never more trajectories than non-neutral combinations.
+  EXPECT_LE(s_tree.tree_stats.Trajectories(), 4u);
 
   for (const char* file : {"rows-00000.csv", "rows-00001.csv", "rows-00002.csv",
                            "aggregates.json", "manifest.json"}) {
-    EXPECT_EQ(ReadFile(dir_plain + "/" + file), ReadFile(dir_share + "/" + file))
+    EXPECT_EQ(ReadFile(dir_plain + "/" + file), ReadFile(dir_tree + "/" + file))
         << file;
   }
 
   fs::remove_all(dir_plain);
-  fs::remove_all(dir_share);
+  fs::remove_all(dir_tree);
 }
 
 TEST(SweepRunnerTest, SharePrefixBitIdenticalAcrossThreadCounts) {
   SweepOptions one;
   one.threads = 1;
-  one.share_prefix = true;
-  const SweepSummary s1 = SweepRunner(ScaleGrid()).Run(one);
+  const SweepSummary s1 = RunTree(ScaleGrid(), one);
   SweepOptions four = one;
   four.threads = 4;
-  const SweepSummary s4 = SweepRunner(ScaleGrid()).Run(four);
+  const SweepSummary s4 = RunTree(ScaleGrid(), four);
   EXPECT_EQ(s1.aggregates.ToJson().Dump(2), s4.aggregates.ToJson().Dump(2));
+  EXPECT_EQ(s1.tree_stats.ToJson().Dump(2), s4.tree_stats.ToJson().Dump(2));
 }
 
 TEST(SweepRunnerTest, SharePrefixFallsBackWithoutNeutralAxes) {
+  // No neutral axis and a root that cannot take patch forks: nothing is
+  // shared, so every scenario runs the plain way on its own.
   SweepSpec sweep = CapGrid();
+  sweep.base.scheduler = "scheduleflow";
   SweepOptions options;
   options.threads = 2;
-  options.share_prefix = true;
-  const SweepSummary shared = SweepRunner(sweep).Run(options);
-  EXPECT_EQ(shared.forked_scenarios, 0u);
-  EXPECT_EQ(shared.simulated_trajectories, sweep.ScenarioCount());
-  options.share_prefix = false;
+  const SweepSummary tree = RunTree(sweep, options);
+  EXPECT_EQ(tree.tree_stats.roots, 0u);
+  EXPECT_EQ(tree.tree_stats.forks, 0u);
+  EXPECT_EQ(tree.tree_stats.plain_runs, sweep.ScenarioCount());
+  EXPECT_EQ(tree.tree_stats.Trajectories(), sweep.ScenarioCount());
   const SweepSummary plain = SweepRunner(sweep).Run(options);
-  EXPECT_EQ(plain.aggregates.ToJson().Dump(2), shared.aggregates.ToJson().Dump(2));
+  EXPECT_EQ(plain.aggregates.ToJson().Dump(2), tree.aggregates.ToJson().Dump(2));
 }
 
 TEST(SweepRunnerTest, SharePrefixWithEventCalendarAndSyntheticSeeds) {
   // The nightly-grid shape in miniature: calendar engine, per-seed synthetic
-  // workloads, and a price-scale axis — sharing must reproduce the plain
-  // path exactly.
+  // workloads, and a price-scale axis — the tree must reproduce the plain
+  // path exactly with one trajectory per seed.
   SweepSpec sweep;
   sweep.name = "share-synth";
   sweep.base = MiniBase();
@@ -828,11 +858,10 @@ TEST(SweepRunnerTest, SharePrefixWithEventCalendarAndSyntheticSeeds) {
   SweepOptions options;
   options.threads = 2;
   const SweepSummary plain = SweepRunner(sweep).Run(options);
-  options.share_prefix = true;
-  const SweepSummary shared = SweepRunner(sweep).Run(options);
-  EXPECT_EQ(shared.simulated_trajectories, 2u);
-  EXPECT_EQ(shared.forked_scenarios, 4u);
-  EXPECT_EQ(plain.aggregates.ToJson().Dump(2), shared.aggregates.ToJson().Dump(2));
+  const SweepSummary tree = RunTree(sweep, options);
+  EXPECT_EQ(tree.tree_stats.Trajectories(), 2u);
+  EXPECT_EQ(tree.tree_stats.forks, 6u);
+  EXPECT_EQ(plain.aggregates.ToJson().Dump(2), tree.aggregates.ToJson().Dump(2));
 }
 
 }  // namespace

@@ -31,6 +31,7 @@
 #include "sweep/sweep_spec.h"
 #include "sweep/tree/first_effect.h"
 #include "sweep/tree/tree_runner.h"
+#include "workload/synthetic.h"
 
 namespace sraps {
 namespace {
@@ -169,9 +170,6 @@ std::string ReadFile(const std::string& path) {
 
 // --- static classification & plural FirstEffectTime -------------------------
 
-// NOTE: single-element calls must spell out std::vector<JsonValue> — a bare
-// braced list {value} would list-construct the LEGACY single-JsonValue
-// overload's parameter instead (JsonValue has a JsonArray constructor).
 TEST(TreeFirstEffectTest, GridScaleAxisIsNeutral) {
   const ScenarioSpec base = TreeBase();
   EXPECT_EQ(FirstEffectTime(base, "grid.price.scale",
@@ -390,8 +388,8 @@ TEST(TreeClassifyTest, AllPowerStatePoliciesInPlayDemotePatchClasses) {
   EXPECT_EQ(plan[2].cls, AxisClass::kNeutral);  // grid.price.scale
 
   // A mixed policy axis keeps the patch classes: the fcfs roots fork, the
-  // race_to_idle roots fall back at run time (partial, like an external
-  // scheduler in play).
+  // race_to_idle roots run one trajectory per bounded-value combination
+  // (like roots under an external scheduler).
   sweep.base.policy = "fcfs";
   sweep.axes.push_back(
       SweepAxis("policy", {JsonValue(std::string("fcfs")),
@@ -415,8 +413,8 @@ TEST(TreeClassifyTest, ExternalSchedulerInPlayDemotesSwapAndSupply) {
   EXPECT_EQ(plan[5].cls, AxisClass::kImmediate);  // the scheduler axis itself
   // The bundled external couplings ignore signal VALUES: still neutral.
   EXPECT_EQ(plan[3].cls, AxisClass::kNeutral);
-  // The cap axis keeps its class — the runner's ForkWithPatch guard refuses
-  // at run time and the root falls back to plain runs (covered below).
+  // The cap axis keeps its class: the default-scheduler roots fork it, the
+  // scheduleflow roots split on it before running (covered below).
   EXPECT_EQ(plan[0].cls, AxisClass::kPowerCap);
 }
 
@@ -750,23 +748,102 @@ TEST(TreeRunnerTest, CapProbeEngagesWhenNoEarlierForkExists) {
             s_tree.aggregates.ToJson().Dump(2));
 }
 
-TEST(TreeRunnerTest, FallsBackToPlainRowsOnNonForkableScheduler) {
-  SweepSpec sweep = FourClassSweep();
-  sweep.axes.erase(sweep.axes.begin() + 1, sweep.axes.begin() + 3);  // cap x scale
-  sweep.base.scheduler = "scheduleflow";  // ForkWithPatch refuses at run time
-
+/// Plain and tree runs of `sweep` with shards on disk: the tree's shards and
+/// aggregates must be byte-identical to the plain path's.  Returns the
+/// tree's stats.
+TreeStats ExpectTreeMatchesPlain(const SweepSpec& sweep, const std::string& tag) {
+  const std::string dir_plain = "test_tree_" + tag + "_plain";
+  const std::string dir_tree = "test_tree_" + tag + "_tree";
+  fs::remove_all(dir_plain);
+  fs::remove_all(dir_tree);
   SweepOptions plain;
   plain.threads = 2;
+  plain.output_dir = dir_plain;
   const SweepSummary s_plain = SweepRunner(sweep).Run(plain);
   SweepOptions tree = plain;
   tree.tree = true;
+  tree.output_dir = dir_tree;
   const SweepSummary s_tree = SweepRunner(sweep).Run(tree);
-
   EXPECT_TRUE(s_tree.tree_used);
-  EXPECT_EQ(s_tree.tree_stats.fallback_scenarios, sweep.ScenarioCount());
   EXPECT_EQ(s_tree.ok_count, s_plain.ok_count);
-  EXPECT_EQ(s_plain.aggregates.ToJson().Dump(2),
-            s_tree.aggregates.ToJson().Dump(2));
+  for (const char* file : {"/rows-00000.csv", "/aggregates.json"}) {
+    EXPECT_EQ(ReadFile(dir_plain + file), ReadFile(dir_tree + file)) << file;
+  }
+  fs::remove_all(dir_plain);
+  fs::remove_all(dir_tree);
+  return s_tree.tree_stats;
+}
+
+TEST(TreeRunnerTest, FallsBackToPlainRowsOnNonForkableScheduler) {
+  // scheduleflow makes ForkWithPatch refuse every patch.  The runner sees
+  // that before it runs anything: no probe, no fallback, one trajectory
+  // per cap value, priced out per scale at the leaves.
+  SweepSpec sweep = FourClassSweep();
+  sweep.axes.erase(sweep.axes.begin() + 1, sweep.axes.begin() + 3);  // cap x scale
+  sweep.base.scheduler = "scheduleflow";
+  const TreeStats stats = ExpectTreeMatchesPlain(sweep, "ext");
+  EXPECT_EQ(stats.fallback_scenarios, 0u);
+  EXPECT_EQ(stats.probe_runs, 0u);
+  EXPECT_EQ(stats.roots, 2u);
+  EXPECT_EQ(stats.Trajectories(), 2u);
+}
+
+/// The CLI what-if grid shape: 2 caps x a policy or scheduler axis x 4
+/// price scales on a synthetic calendar-mode day, one of whose values
+/// ForkWithPatch cannot fork.
+SweepSpec MixedGrid(const std::string& key, const std::string& forkable,
+                    const std::string& unforkable) {
+  SweepSpec sweep;
+  sweep.name = "mixed-" + key;
+  sweep.base = TreeBase();
+  sweep.base.jobs_override.clear();
+  sweep.base.event_calendar = true;
+  sweep.base.grid.price_usd_per_kwh = GridSignal::Diurnal(0.08, 0.5, 1.4);
+  sweep.base.grid.carbon_kg_per_kwh = GridSignal::Diurnal(0.38, 0.55, 1.35);
+  SyntheticWorkloadSpec wl;
+  wl.horizon = 6 * kHour;
+  wl.arrival_rate_per_hour = 20;
+  wl.max_nodes = 16;
+  wl.mean_nodes_log2 = 1.5;
+  wl.seed = 7;
+  sweep.synthetic = wl;
+  sweep.axes.push_back(SweepAxis("power_cap_w", {JsonValue(100000.0), JsonValue(0.0)}));
+  sweep.axes.push_back(SweepAxis(key, {JsonValue(forkable), JsonValue(unforkable)}));
+  sweep.axes.push_back(SweepAxis::LogRange("grid.price.scale", 0.5, 4.0, 4));
+  return sweep;
+}
+
+TEST(TreeRunnerTest, MixedPolicyGridNeverProbesOrFallsBack) {
+  // race_to_idle roots split on the cap and share per scale; the fcfs root
+  // forks the cap.  One trajectory per cap and policy value would be 4.
+  const TreeStats stats =
+      ExpectTreeMatchesPlain(MixedGrid("policy", "fcfs", "race_to_idle"), "mixpol");
+  EXPECT_EQ(stats.fallback_scenarios, 0u);
+  EXPECT_EQ(stats.probe_runs, 0u);
+  EXPECT_LE(stats.Trajectories(), 4u);
+}
+
+TEST(TreeRunnerTest, MixedSchedulerGridNeverProbesOrFallsBack) {
+  const TreeStats stats = ExpectTreeMatchesPlain(
+      MixedGrid("scheduler", "default", "scheduleflow"), "mixsched");
+  EXPECT_EQ(stats.fallback_scenarios, 0u);
+  EXPECT_EQ(stats.probe_runs, 0u);
+  EXPECT_LE(stats.Trajectories(), 4u);
+}
+
+TEST(TreeRunnerTest, RunTimeFallbackCountsItsRerunsAsSteppedWork) {
+  // The second DR schedule lies after the simulated window: the plain path
+  // rejects it, and so does ForkWithPatch at the window's fork, so every
+  // root runs its shared prefix, aborts, and reruns its members plainly.
+  SweepSpec sweep = FourClassSweep();
+  sweep.axes.erase(sweep.axes.begin() + 2, sweep.axes.end());  // cap x DR
+  sweep.axes[1] = SweepAxis(
+      "grid.dr_windows",
+      {EmptySchedule(), OneWindowSchedule(30 * kHour, 32 * kHour, 2000.0)});
+  const TreeStats stats = ExpectTreeMatchesPlain(sweep, "fallback");
+  EXPECT_EQ(stats.fallback_scenarios, stats.scenarios);
+  EXPECT_GT(stats.sim_seconds_stepped, stats.sim_seconds_plain);
+  EXPECT_EQ(stats.SavedFraction(), 0.0);
 }
 
 TEST(TreeRunnerTest, TreeSilentlyUsesPlainPathWhenNoAxisIsBounded) {
@@ -784,7 +861,7 @@ TEST(TreeRunnerTest, TreeSilentlyUsesPlainPathWhenNoAxisIsBounded) {
   const SweepSummary s = SweepRunner(sweep).Run(tree);
   EXPECT_FALSE(s.tree_used);
   EXPECT_EQ(s.ok_count, 2u);
-  EXPECT_EQ(s.simulated_trajectories, 2u);
+  EXPECT_EQ(s.tree_stats.scenarios, 0u);
 }
 
 // --- scenario subranges (the distributed tier's work unit) ------------------
