@@ -1,5 +1,9 @@
 #include "common/csv.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -7,66 +11,181 @@
 #include <stdexcept>
 
 namespace sraps {
-namespace {
 
-std::vector<std::vector<std::string>> ParseRows(const std::string& text) {
-  std::vector<std::vector<std::string>> rows;
-  std::vector<std::string> row;
-  std::string field;
-  bool in_quotes = false;
-  bool field_started = false;
+CsvReader::CsvReader(std::unique_ptr<std::istream> in, std::string name,
+                     std::size_t buffer_size)
+    : in_(std::move(in)),
+      name_(std::move(name)),
+      buf_(std::max<std::size_t>(1, buffer_size)) {}
 
-  auto end_field = [&] {
-    row.push_back(std::move(field));
-    field.clear();
-    field_started = false;
-  };
-  auto end_row = [&] {
-    end_field();
-    rows.push_back(std::move(row));
-    row.clear();
-  };
+CsvReader::CsvReader(const std::string& path)
+    : CsvReader(std::make_unique<std::ifstream>(path, std::ios::binary), path,
+                kBufferSize) {
+  if (!*in_) throw std::runtime_error("CSV: cannot open " + path);
+}
 
-  for (std::size_t i = 0; i < text.size(); ++i) {
-    const char c = text[i];
-    if (in_quotes) {
-      if (c == '"') {
-        if (i + 1 < text.size() && text[i + 1] == '"') {
-          field += '"';
-          ++i;
-        } else {
-          in_quotes = false;
-        }
-      } else {
-        field += c;
+CsvReader CsvReader::FromText(std::string text, std::size_t buffer_size) {
+  return CsvReader(std::make_unique<std::istringstream>(std::move(text)), "text",
+                   buffer_size);
+}
+
+bool CsvReader::Refill() {
+  in_->read(buf_.data(), static_cast<std::streamsize>(buf_.size()));
+  pos_ = 0;
+  end_ = static_cast<std::size_t>(in_->gcount());
+  return end_ > 0;
+}
+
+bool CsvReader::Next(std::vector<std::string>& fields) {
+  std::size_t width = 1;  // fields begun in this row; the last is being filled
+  if (fields.empty()) fields.emplace_back();
+  fields[0].clear();
+  bool started = false;  // the row has a field: a comma, quote or field byte
+  enum { kPlain, kQuoted, kQuoteInQuoted } state = kPlain;
+  row_line_ = line_;
+  for (;;) {
+    if (pos_ == end_ && !Refill()) break;
+    const char* const buf = buf_.data();
+    std::string& field = fields[width - 1];
+    if (state == kQuoted) {
+      // Copy up to the next quote in one go; newlines here are literal.
+      std::size_t stop = pos_;
+      while (stop < end_ && buf[stop] != '"') line_ += buf[stop++] == '\n';
+      field.append(buf + pos_, stop - pos_);
+      pos_ = stop;
+      if (pos_ < end_) {
+        ++pos_;
+        state = kQuoteInQuoted;
       }
       continue;
     }
+    if (state == kQuoteInQuoted) {
+      if (buf[pos_] == '"') {  // "" inside quotes: one literal quote
+        field += '"';
+        ++pos_;
+        state = kQuoted;
+        continue;
+      }
+      state = kPlain;  // the quote closed the quoted section
+    }
+    std::size_t stop = pos_;
+    while (stop < end_ && buf[stop] != ',' && buf[stop] != '"' && buf[stop] != '\r' &&
+           buf[stop] != '\n') {
+      ++stop;
+    }
+    if (stop > pos_) {
+      field.append(buf + pos_, stop - pos_);
+      started = true;
+      pos_ = stop;
+    }
+    if (pos_ == end_) continue;
+    const char c = buf[pos_++];
     switch (c) {
       case '"':
-        in_quotes = true;
-        field_started = true;
+        state = kQuoted;
+        started = true;
         break;
       case ',':
-        end_field();
-        field_started = true;  // the next field exists even if empty
+        if (width == fields.size()) fields.emplace_back();
+        fields[width++].clear();
+        started = true;
         break;
       case '\r':
         break;  // swallow; \n ends the row
-      case '\n':
-        if (!row.empty() || !field.empty() || field_started) end_row();
-        break;
-      default:
-        field += c;
+      default:  // '\n'
+        ++line_;
+        if (started) {
+          fields.resize(width);
+          return true;
+        }
+        row_line_ = line_;  // a blank line: the row starts on the next one
         break;
     }
   }
-  if (in_quotes) throw std::runtime_error("CSV: unterminated quoted field");
-  if (!row.empty() || !field.empty() || field_started) end_row();
-  return rows;
+  if (state == kQuoted) {
+    throw std::runtime_error("CSV " + Where() + ": unterminated quoted field");
+  }
+  if (!started) return false;
+  fields.resize(width);
+  return true;
 }
 
-}  // namespace
+std::string CsvReader::Where() const {
+  return name_ + ":" + std::to_string(line());
+}
+
+std::optional<double> ParseCsvDouble(std::string_view cell) {
+  if (cell.empty()) return std::nullopt;
+  double v = 0.0;
+  const char* const end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec == std::errc() && ptr == end && !std::isnan(v)) return v;
+  const std::string copy(cell);  // strtod needs a terminated string
+  char* stop = nullptr;
+  v = std::strtod(copy.c_str(), &stop);
+  if (stop != copy.c_str() + copy.size()) return std::nullopt;
+  return v;
+}
+
+std::optional<std::int64_t> ParseCsvInt(std::string_view cell) {
+  if (cell.empty()) return std::nullopt;
+  std::int64_t v = 0;
+  const char* const end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec == std::errc() && ptr == end) return v;
+  const std::string copy(cell);
+  char* stop = nullptr;
+  const long long parsed = std::strtoll(copy.c_str(), &stop, 10);
+  if (stop != copy.c_str() + copy.size()) return std::nullopt;
+  return parsed;
+}
+
+CsvRowStream::CsvRowStream(const std::string& path) : reader_(path) {
+  if (!reader_.Next(header_)) {
+    throw std::runtime_error("CSV " + reader_.Where() + ": empty input");
+  }
+}
+
+CsvColumn CsvRowStream::Column(std::string name) const {
+  CsvColumn col{std::move(name), std::nullopt};
+  for (std::size_t i = header_.size(); i-- > 0;) {
+    if (header_[i] == col.name) {
+      col.index = i;
+      break;
+    }
+  }
+  return col;
+}
+
+bool CsvRowStream::Next() {
+  if (!reader_.Next(row_)) return false;
+  if (row_.size() != header_.size()) {
+    throw std::runtime_error(Where() + ": " + std::to_string(row_.size()) +
+                             " cells, header has " + std::to_string(header_.size()));
+  }
+  return true;
+}
+
+const std::string& CsvRowStream::Cell(const CsvColumn& col) const {
+  if (!col.index) throw std::out_of_range(Where() + ": no column '" + col.name + "'");
+  return row_[*col.index];
+}
+
+std::optional<std::int64_t> CsvRowStream::Int(const CsvColumn& col) const {
+  const std::string& cell = Cell(col);
+  if (cell.empty()) return std::nullopt;
+  if (auto v = ParseCsvInt(cell)) return v;
+  throw std::runtime_error(Where() + ": '" + cell + "' is not an integer in column " +
+                           col.name);
+}
+
+std::optional<double> CsvRowStream::Double(const CsvColumn& col) const {
+  const std::string& cell = Cell(col);
+  if (cell.empty()) return std::nullopt;
+  if (auto v = ParseCsvDouble(cell)) return v;
+  throw std::runtime_error(Where() + ": '" + cell + "' is not a number in column " +
+                           col.name);
+}
 
 CsvTable::CsvTable(std::vector<std::string> header,
                    std::vector<std::vector<std::string>> rows)
@@ -81,20 +200,27 @@ CsvTable::CsvTable(std::vector<std::string> header,
   }
 }
 
-CsvTable CsvTable::Parse(const std::string& text) {
-  auto rows = ParseRows(text);
-  if (rows.empty()) throw std::runtime_error("CSV: empty input");
-  std::vector<std::string> header = std::move(rows.front());
-  rows.erase(rows.begin());
+namespace {
+
+CsvTable ReadTable(CsvReader& reader) {
+  std::vector<std::string> header;
+  if (!reader.Next(header)) throw std::runtime_error("CSV: empty input");
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> fields;
+  while (reader.Next(fields)) rows.push_back(std::move(fields));
   return CsvTable(std::move(header), std::move(rows));
 }
 
+}  // namespace
+
+CsvTable CsvTable::Parse(const std::string& text) {
+  CsvReader reader = CsvReader::FromText(text);
+  return ReadTable(reader);
+}
+
 CsvTable CsvTable::Load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) throw std::runtime_error("CSV: cannot open " + path);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  return Parse(ss.str());
+  CsvReader reader(path);
+  return ReadTable(reader);
 }
 
 std::optional<std::size_t> CsvTable::ColumnIndex(const std::string& name) const {
@@ -120,24 +246,16 @@ std::optional<double> CsvTable::GetDouble(std::size_t row,
                                           const std::string& column) const {
   const std::string& cell = Cell(row, column);
   if (cell.empty()) return std::nullopt;
-  char* end = nullptr;
-  const double v = std::strtod(cell.c_str(), &end);
-  if (end != cell.c_str() + cell.size()) {
-    throw std::runtime_error("CSV: '" + cell + "' is not a number in column " + column);
-  }
-  return v;
+  if (auto v = ParseCsvDouble(cell)) return v;
+  throw std::runtime_error("CSV: '" + cell + "' is not a number in column " + column);
 }
 
 std::optional<std::int64_t> CsvTable::GetInt(std::size_t row,
                                              const std::string& column) const {
   const std::string& cell = Cell(row, column);
   if (cell.empty()) return std::nullopt;
-  char* end = nullptr;
-  const long long v = std::strtoll(cell.c_str(), &end, 10);
-  if (end != cell.c_str() + cell.size()) {
-    throw std::runtime_error("CSV: '" + cell + "' is not an integer in column " + column);
-  }
-  return v;
+  if (auto v = ParseCsvInt(cell)) return v;
+  throw std::runtime_error("CSV: '" + cell + "' is not an integer in column " + column);
 }
 
 std::string CsvQuote(const std::string& field) {
@@ -149,6 +267,12 @@ std::string CsvQuote(const std::string& field) {
   }
   out += '"';
   return out;
+}
+
+std::string CsvNumber(double v) {
+  char buf[32];
+  const int n = std::snprintf(buf, sizeof buf, "%.10g", v);
+  return std::string(buf, static_cast<std::size_t>(n));
 }
 
 CsvWriter::CsvWriter(std::vector<std::string> header) : header_(std::move(header)) {}

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <filesystem>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/mathutil.h"
@@ -14,16 +13,6 @@
 
 namespace sraps {
 namespace fs = std::filesystem;
-namespace {
-
-std::string Num(double v) {
-  std::ostringstream ss;
-  ss.precision(10);
-  ss << v;
-  return ss.str();
-}
-
-}  // namespace
 
 double DeriveAdastraGpuPowerW(double node_w, double cpu_w, double mem_w) {
   return std::max(0.0, node_w - cpu_w - mem_w);
@@ -114,7 +103,8 @@ std::vector<Job> GenerateAdastraDataset(const std::string& dir,
     w.AddRow({std::to_string(j.id), j.user, j.account, std::to_string(j.submit_time),
               std::to_string(j.recorded_start), std::to_string(j.recorded_end),
               std::to_string(j.time_limit), std::to_string(j.nodes_required),
-              Num(node_w), Num(cpu_w), Num(mem_w), Num(j.priority)});
+              CsvNumber(node_w), CsvNumber(cpu_w), CsvNumber(mem_w),
+              CsvNumber(j.priority)});
   }
   w.Save((fs::path(dir) / "jobs.csv").string());
   return jobs;

@@ -1,5 +1,6 @@
 #include "dataloaders/dataloader.h"
 
+#include <charconv>
 #include <stdexcept>
 
 #include "dataloaders/adastra.h"
@@ -47,18 +48,23 @@ namespace loader_detail {
 
 std::vector<int> ParseNodeList(const std::string& cell) {
   std::vector<int> nodes;
-  std::string token;
-  for (char c : cell) {
-    if (c == '|') {
-      if (!token.empty()) {
-        nodes.push_back(std::stoi(token));
-        token.clear();
+  std::size_t begin = 0;
+  while (begin <= cell.size()) {
+    std::size_t end = cell.find('|', begin);
+    if (end == std::string::npos) end = cell.size();
+    if (end > begin) {  // empty tokens ("3||4", a trailing '|') are skipped
+      int id = 0;
+      const char* const last = cell.data() + end;
+      const auto [ptr, ec] = std::from_chars(cell.data() + begin, last, id);
+      if (ec != std::errc() || ptr != last) {
+        throw std::invalid_argument("node list '" + cell + "': '" +
+                                    cell.substr(begin, end - begin) +
+                                    "' is not a node id");
       }
-    } else {
-      token += c;
+      nodes.push_back(id);
     }
+    begin = end + 1;
   }
-  if (!token.empty()) nodes.push_back(std::stoi(token));
   return nodes;
 }
 

@@ -58,7 +58,9 @@ void RegisterBuiltinDataloaders();
 // --- shared column helpers used by the concrete loaders --------------------
 namespace loader_detail {
 
-/// Parses a '|'-separated node list ("3|17|42") into node ids.
+/// Parses a '|'-separated node list ("3|17|42") into node ids; empty tokens
+/// are skipped.  Throws std::invalid_argument, naming the cell, when a token
+/// is not wholly a decimal int.
 std::vector<int> ParseNodeList(const std::string& cell);
 /// Joins node ids with '|'.
 std::string FormatNodeList(const std::vector<int>& nodes);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <filesystem>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/mathutil.h"
@@ -14,13 +13,6 @@
 namespace sraps {
 namespace fs = std::filesystem;
 namespace {
-
-std::string Num(double v) {
-  std::ostringstream ss;
-  ss.precision(10);
-  ss << v;
-  return ss.str();
-}
 
 const char* ArchetypeName(FugakuArchetype a) {
   switch (a) {
@@ -160,8 +152,8 @@ std::vector<Job> GenerateFugakuDataset(const std::string& dir,
     w.AddRow({std::to_string(j.id), j.user, j.account, std::to_string(j.submit_time),
               std::to_string(j.recorded_start), std::to_string(j.recorded_end),
               std::to_string(j.time_limit), std::to_string(j.nodes_required),
-              Num(energy), Num(power), Num(power * 0.92), Num(power * 1.08),
-              perf_class, Num(j.priority)});
+              CsvNumber(energy), CsvNumber(power), CsvNumber(power * 0.92),
+              CsvNumber(power * 1.08), perf_class, CsvNumber(j.priority)});
   }
   w.Save((fs::path(dir) / "jobs.csv").string());
   return jobs;

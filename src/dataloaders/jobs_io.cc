@@ -1,23 +1,13 @@
 #include "dataloaders/jobs_io.h"
 
-#include <cmath>
-#include <sstream>
+#include <cstdint>
+#include <optional>
 #include <stdexcept>
 
 #include "common/csv.h"
 #include "dataloaders/dataloader.h"
 
 namespace sraps {
-namespace {
-
-std::string Num(double v) {
-  std::ostringstream ss;
-  ss.precision(10);
-  ss << v;
-  return ss.str();
-}
-
-}  // namespace
 
 void WriteJobsCsv(const std::string& path, const std::vector<Job>& jobs,
                   const std::vector<bool>& shared_flags) {
@@ -35,13 +25,14 @@ void WriteJobsCsv(const std::string& path, const std::vector<Job>& jobs,
     const Job& j = jobs[i];
     std::string avg_power;
     if (!j.node_power_w.empty() && j.node_power_w.is_constant()) {
-      avg_power = Num(j.node_power_w.values().front());
+      avg_power = CsvNumber(j.node_power_w.values().front());
     }
     std::vector<std::string> row = {
         std::to_string(j.id), j.user, j.account, std::to_string(j.submit_time),
         std::to_string(j.recorded_start), std::to_string(j.recorded_end),
         std::to_string(j.time_limit), std::to_string(j.nodes_required),
-        loader_detail::FormatNodeList(j.recorded_nodes), Num(j.priority), avg_power};
+        loader_detail::FormatNodeList(j.recorded_nodes), CsvNumber(j.priority),
+        avg_power};
     if (with_shared) row.push_back(shared_flags[i] ? "1" : "0");
     w.AddRow(std::move(row));
   }
@@ -49,28 +40,49 @@ void WriteJobsCsv(const std::string& path, const std::vector<Job>& jobs,
 }
 
 std::vector<Job> ReadJobsCsv(const std::string& path, bool filter_shared) {
-  const CsvTable t = CsvTable::Load(path);
-  const bool has_shared = t.ColumnIndex("shared").has_value();
+  CsvRowStream csv(path);
+  const CsvColumn job_id = csv.Column("job_id");
+  const CsvColumn user = csv.Column("user");
+  const CsvColumn account = csv.Column("account");
+  const CsvColumn submit = csv.Column("submit_time");
+  const CsvColumn start = csv.Column("start_time");
+  const CsvColumn end = csv.Column("end_time");
+  const CsvColumn time_limit = csv.Column("time_limit");
+  const CsvColumn num_nodes = csv.Column("num_nodes");
+  const CsvColumn nodes = csv.Column("nodes_allocated");
+  const CsvColumn priority = csv.Column("priority");
+  const CsvColumn avg_power = csv.Column("avg_node_power_w");
+  const CsvColumn shared = csv.Column("shared");
+  const auto required = [&](const CsvColumn& col) {
+    const std::optional<std::int64_t> v = csv.Int(col);
+    if (!v) throw std::runtime_error(csv.Where() + ": empty " + col.name);
+    return *v;
+  };
+
+  // The cells of a row are read in the order below, so a row's first fault
+  // (in that order) is the one reported.
   std::vector<Job> jobs;
-  jobs.reserve(t.num_rows());
-  for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    if (filter_shared && has_shared) {
-      if (const auto s = t.GetInt(r, "shared"); s && *s != 0) continue;
+  while (csv.Next()) {
+    if (filter_shared && shared.index) {
+      if (const auto s = csv.Int(shared); s && *s != 0) continue;
     }
     Job j;
-    j.id = t.GetInt(r, "job_id").value();
-    j.user = t.Cell(r, "user");
-    j.account = t.Cell(r, "account");
-    j.submit_time = t.GetInt(r, "submit_time").value();
-    j.recorded_start = t.GetInt(r, "start_time").value_or(-1);
-    j.recorded_end = t.GetInt(r, "end_time").value_or(-1);
-    j.time_limit = t.GetInt(r, "time_limit").value_or(0);
-    j.nodes_required = static_cast<int>(t.GetInt(r, "num_nodes").value());
-    j.recorded_nodes = loader_detail::ParseNodeList(t.Cell(r, "nodes_allocated"));
-    j.priority = t.GetDouble(r, "priority").value_or(0.0);
-    if (auto p = t.GetDouble(r, "avg_node_power_w")) {
-      j.node_power_w = TraceSeries::Constant(*p);
+    j.id = required(job_id);
+    j.user = csv.Cell(user);
+    j.account = csv.Cell(account);
+    j.submit_time = required(submit);
+    j.recorded_start = csv.Int(start).value_or(-1);
+    j.recorded_end = csv.Int(end).value_or(-1);
+    j.time_limit = csv.Int(time_limit).value_or(0);
+    j.nodes_required = static_cast<int>(required(num_nodes));
+    const std::string& node_list = csv.Cell(nodes);
+    try {
+      j.recorded_nodes = loader_detail::ParseNodeList(node_list);
+    } catch (const std::invalid_argument& e) {
+      throw std::invalid_argument(csv.Where() + ": " + e.what());
     }
+    j.priority = csv.Double(priority).value_or(0.0);
+    if (const auto p = csv.Double(avg_power)) j.node_power_w = TraceSeries::Constant(*p);
     j.name = "job-" + std::to_string(j.id);
     jobs.push_back(std::move(j));
   }

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <filesystem>
-#include <sstream>
 
 #include "common/csv.h"
 #include "common/mathutil.h"
@@ -13,16 +12,6 @@
 
 namespace sraps {
 namespace fs = std::filesystem;
-namespace {
-
-std::string Num(double v) {
-  std::ostringstream ss;
-  ss.precision(10);
-  ss << v;
-  return ss.str();
-}
-
-}  // namespace
 
 std::vector<Job> LassenLoader::Load(const std::string& path) const {
   fs::path root(path);
@@ -112,7 +101,7 @@ std::vector<Job> GenerateLassenDataset(const std::string& dir,
     w.AddRow({std::to_string(j.id), j.user, j.account, std::to_string(j.submit_time),
               std::to_string(j.recorded_start), std::to_string(j.recorded_end),
               std::to_string(j.time_limit), std::to_string(j.nodes_required),
-              Num(energy), Num(tx), Num(rx), Num(j.priority)});
+              CsvNumber(energy), CsvNumber(tx), CsvNumber(rx), CsvNumber(j.priority)});
   }
   w.Save((fs::path(dir) / "jobs.csv").string());
   return jobs;

@@ -20,14 +20,22 @@ struct JobTraces {
   TraceSeries node_power_w;
 };
 
-/// Loads a traces.csv into per-job series.  Rows must be grouped by job and
-/// offset-sorted within a job (the writers guarantee this; violations throw).
-std::map<JobId, JobTraces> LoadTraceTable(const std::string& path);
+/// Per-job series keyed by job id.
+using TraceTable = std::map<JobId, JobTraces>;
+
+/// Streams a traces.csv into per-job series; a job with no value in any
+/// series has no entry.  Rows of different jobs may interleave, but each
+/// series' offsets must be non-negative and strictly increasing in file
+/// order (the writers sort them): a violation throws std::invalid_argument.
+/// Malformed rows throw std::runtime_error and a missing column
+/// std::out_of_range; every message names the file and the line.
+TraceTable LoadTraceTable(const std::string& path);
 
 /// Writes the traces of all jobs that have any, in the shared schema.
 void SaveTraceTable(const std::string& path, const std::vector<Job>& jobs);
 
-/// Attaches loaded traces to jobs in place (matching on job id).
-void AttachTraces(std::vector<Job>& jobs, const std::map<JobId, JobTraces>& traces);
+/// Attaches loaded traces to jobs in place (matching on job id).  The series
+/// move into the jobs; only a job id that repeats in `jobs` costs a copy.
+void AttachTraces(std::vector<Job>& jobs, TraceTable traces);
 
 }  // namespace sraps

@@ -466,16 +466,17 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
   // RunScenarioSpec captures simulation failures itself; the try here guards
   // expansion and workload generation, so a throw fails one row instead of
   // escaping the thread and terminating the process.
-  auto run_one = [&](std::size_t i) {
+  auto run_one = [&](std::size_t i) -> SnapshotTreeRunner::PlainRun {
     try {
       ExpandedScenario expanded = spec_.Expand(i);
       resolve_workload(expanded);
       // No per-scenario output directory and no stats JSON: the row is all
       // that survives this iteration.
       ScenarioResult result = RunScenarioSpec(std::move(expanded.spec), "", false);
-      return RowFromResult(result, i, std::move(expanded.axis_values));
+      return {RowFromResult(result, i, std::move(expanded.axis_values)),
+              static_cast<double>(result.sim_end - result.sim_start)};
     } catch (const std::exception& e) {
-      return failed_row(i, e.what());
+      return {failed_row(i, e.what())};
     }
   };
 
@@ -545,7 +546,7 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
   }
   if (!summary.tree_used) {
     ParallelIndexFor(end - begin, options.threads, [&](std::size_t u) {
-      fold_row(run_one(begin + u));
+      fold_row(run_one(begin + u).row);
     });
   }
 

@@ -126,10 +126,11 @@ TreeStats SnapshotTreeRunner::Run(std::size_t begin, std::size_t end,
   // One shared trajectory for `part`: members that agree on every axis
   // except the bounded axes marked in `forked` (patched in at their bounds)
   // and trajectory-neutral axes (replayed at the leaves).  Throws on any
-  // run-time refusal; run_root falls the part back to plain runs.
+  // run-time refusal; run_root falls the part back to plain runs.  Returns
+  // the simulated window every member shares.
   const auto run_part = [&](const std::vector<std::size_t>& part,
                             const std::vector<bool>& forked, TreeStats& local,
-                            std::vector<SweepRow>& rows, double& window) {
+                            std::vector<SweepRow>& rows) {
     ExpandedScenario rep = spec_.Expand(part.front());
     resolve_(rep);
     const SimTime first_submit = MinSubmit(rep.spec.jobs_override);
@@ -163,8 +164,7 @@ TreeStats SnapshotTreeRunner::Run(std::size_t begin, std::size_t end,
     const SimTime sim_start = sim->sim_start();
     const SimTime sim_end = sim->sim_end();
     const SimDuration tick = sim->engine().tick();
-    window = static_cast<double>(sim_end - sim_start);
-    local.sim_seconds_plain += static_cast<double>(part.size()) * window;
+    const double window = static_cast<double>(sim_end - sim_start);
     // Snapshot times must land on tick boundaries (RunUntilExact rounds
     // UP, which would overshoot a bound), strictly before sim_end (the
     // leaf always has the final step plus end-of-run bookkeeping left to
@@ -291,6 +291,15 @@ TreeStats SnapshotTreeRunner::Run(std::size_t begin, std::size_t end,
           local.max_fanout = std::max(local.max_fanout, fanout);
         };
     recurse(std::move(sim), 0, part, 0);
+    return window;
+  };
+
+  // A plain run steps its whole window, on the tree as on the plain path.
+  const auto run_plain = [&](std::size_t index, TreeStats& local) {
+    PlainRun run = plain_run_(index);
+    local.sim_seconds_plain += run.sim_seconds;
+    local.sim_seconds_stepped += run.sim_seconds;
+    return std::move(run.row);
   };
 
   const auto run_root = [&](const std::vector<std::size_t>& members) {
@@ -337,21 +346,20 @@ TreeStats SnapshotTreeRunner::Run(std::size_t begin, std::size_t end,
       std::vector<SweepRow> rows;
       rows.reserve(part.size());
       if (part.size() == 1) {
-        rows.push_back(plain_run_(part.front()));
+        rows.push_back(run_plain(part.front(), local));
         ++local.plain_runs;
       } else {
-        double window = 0.0;  // sim window, once the root has been built
         try {
-          run_part(part, forked, local, rows, window);
+          const double window = run_part(part, forked, local, rows);
+          local.sim_seconds_plain += static_cast<double>(part.size()) * window;
         } catch (const std::exception&) {
           // Plain per-scenario fallback: reproduces exactly what the plain
           // path would have produced for every member — ok rows and failure
           // rows alike — so a run-time refusal can never change the output.
-          // The reruns are stepped work too.
+          // The aborted shared prefix stays counted as stepped work.
           rows.clear();
-          for (const std::size_t i : part) rows.push_back(plain_run_(i));
+          for (const std::size_t i : part) rows.push_back(run_plain(i, local));
           local.fallback_scenarios += part.size();
-          local.sim_seconds_stepped += static_cast<double>(part.size()) * window;
         }
       }
       for (SweepRow& row : rows) sink(std::move(row));

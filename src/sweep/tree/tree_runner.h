@@ -48,9 +48,15 @@ class SnapshotTreeRunner {
   /// Materialises the workload onto one expanded scenario (the SweepRunner
   /// passes its own resolve: synthetic generation or the load-once dataset).
   using ResolveFn = std::function<void(ExpandedScenario&)>;
-  /// Runs one scenario the plain way and returns its row (never throws —
-  /// failures become failed rows); used for singleton roots and fallback.
-  using PlainRunFn = std::function<SweepRow(std::size_t)>;
+  /// One scenario run the plain way: its row, and the simulated seconds it
+  /// stepped (its window; 0 when it failed before running).
+  struct PlainRun {
+    SweepRow row;
+    double sim_seconds = 0.0;
+  };
+  /// Runs one scenario the plain way (never throws — failures become failed
+  /// rows); used for singleton parts and fallback.
+  using PlainRunFn = std::function<PlainRun(std::size_t)>;
   /// Receives every completed row; must be thread-safe (called from worker
   /// threads, one call per scenario, each scenario exactly once).
   using RowSink = std::function<void(SweepRow)>;

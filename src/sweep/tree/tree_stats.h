@@ -35,13 +35,12 @@ struct TreeStats {
   std::size_t max_depth = 0;   ///< deepest chain of patch forks
   std::size_t max_fanout = 0;  ///< widest branch point (values forked)
   /// Simulated seconds actually stepped: shared prefixes once, branch
-  /// suffixes per value, thrown-away cap passes, aborted roots and fallback
-  /// reruns included.  Plain runs are left out, here and in
-  /// sim_seconds_plain alike.
+  /// suffixes per value, thrown-away cap passes, aborted roots, plain runs
+  /// and fallback reruns included.
   double sim_seconds_stepped = 0.0;
-  /// Simulated seconds the plain path steps for the same scenarios
-  /// (scenario count x window).  stepped/plain < 1 is the tree's win; the
-  /// CLI reports it as "sim-time saved".
+  /// Simulated seconds the plain path steps for the same scenarios (each
+  /// scenario's window).  stepped/plain < 1 is the tree's win; the CLI
+  /// reports it as "sim-time saved".
   double sim_seconds_plain = 0.0;
 
   /// Simulations started from sim start: shared roots, thrown-away cap

@@ -2,6 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <optional>
 #include <set>
 
 #include "common/csv.h"
@@ -200,6 +203,64 @@ TEST(CsvTest, TypedAccessors) {
 TEST(CsvTest, MalformedNumberThrows) {
   const auto t = CsvTable::Parse("x\nnope\n");
   EXPECT_THROW(t.GetDouble(0, "x"), std::runtime_error);
+}
+
+TEST(CsvTest, NumberFormatIsPinned) {
+  // Generated datasets write every number through CsvNumber: these strings
+  // are their bytes.
+  EXPECT_EQ(CsvNumber(0.1), "0.1");
+  EXPECT_EQ(CsvNumber(14.35720367), "14.35720367");
+  EXPECT_EQ(CsvNumber(1e-7), "1e-07");
+  EXPECT_EQ(CsvNumber(123456789012.0), "1.23456789e+11");
+  EXPECT_EQ(CsvNumber(-0.0), "-0");
+  EXPECT_EQ(CsvNumber(1.0 / 3.0), "0.3333333333");
+}
+
+TEST(CsvTest, CellParsersAgreeWithTheCParsers) {
+  // Every cell strtod / strtoll accept whole keeps their value bit for bit,
+  // including the ones from_chars refuses or reads differently.
+  for (const char* cell : {"1.5", "-0", "0.1", "1e-310", "1e400", "-1e400", " 2.5", "+3",
+                           "0x1p3", "inf", "-Infinity", "nan", "nan(123)", ".5", "5.",
+                           "1e", "abc", "1.5x", " "}) {
+    char* end = nullptr;
+    const double want = std::strtod(cell, &end);
+    const std::optional<double> got = ParseCsvDouble(cell);
+    if (*end != '\0' || end == cell) {
+      EXPECT_FALSE(got.has_value()) << cell;
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << cell;
+    EXPECT_EQ(std::memcmp(&want, &*got, sizeof want), 0) << cell;
+  }
+  for (const char* cell : {"7", "-42", "007", "+5", " 9", "99999999999999999999",
+                           "-99999999999999999999", "1.0", "x", "3 "}) {
+    char* end = nullptr;
+    const long long want = std::strtoll(cell, &end, 10);
+    const std::optional<std::int64_t> got = ParseCsvInt(cell);
+    if (*end != '\0' || end == cell) {
+      EXPECT_FALSE(got.has_value()) << cell;
+      continue;
+    }
+    ASSERT_TRUE(got.has_value()) << cell;
+    EXPECT_EQ(*got, want) << cell;
+  }
+  EXPECT_FALSE(ParseCsvDouble("").has_value());
+  EXPECT_FALSE(ParseCsvInt("").has_value());
+}
+
+TEST(CsvTest, ReaderNamesTheLineOfEachRow) {
+  // Blank lines are skipped; a newline inside quotes still counts.
+  CsvReader reader = CsvReader::FromText("a,b\n\n\"x\ny\",1\r\n2,3\n", 4);
+  std::vector<std::string> row;
+  ASSERT_TRUE(reader.Next(row));
+  EXPECT_EQ(reader.Where(), "text:1");
+  ASSERT_TRUE(reader.Next(row));
+  EXPECT_EQ(row, (std::vector<std::string>{"x\ny", "1"}));
+  EXPECT_EQ(reader.Where(), "text:3");
+  ASSERT_TRUE(reader.Next(row));
+  EXPECT_EQ(row, (std::vector<std::string>{"2", "3"}));
+  EXPECT_EQ(reader.line(), 5u);
+  EXPECT_FALSE(reader.Next(row));
 }
 
 TEST(CsvTest, WriterRoundTrip) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
 #include <set>
 
 #include "common/csv.h"
@@ -72,6 +73,19 @@ TEST(NodeListTest, ParseFormatRoundTrip) {
   EXPECT_EQ(loader_detail::ParseNodeList(loader_detail::FormatNodeList(nodes)), nodes);
   EXPECT_TRUE(loader_detail::ParseNodeList("").empty());
   EXPECT_EQ(loader_detail::ParseNodeList("5"), (std::vector<int>{5}));
+}
+
+TEST(NodeListTest, RejectsJunkNamingTheCell) {
+  for (const std::string cell : {"3x|4", "x", "3| 4", "99999999999"}) {
+    try {
+      loader_detail::ParseNodeList(cell);
+      ADD_FAILURE() << cell << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("'" + cell + "'"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(loader_detail::ParseNodeList("3||4|"), (std::vector<int>{3, 4}));
 }
 
 // --- replay synthesiser ------------------------------------------------------
@@ -151,6 +165,60 @@ TEST(TraceTableTest, SaveLoadRoundTrip) {
   EXPECT_DOUBLE_EQ(traces.at(7).node_power_w.Sample(25), 300.0);
   EXPECT_TRUE(traces.at(7).gpu_util.empty());
   fs::remove_all(dir);
+}
+
+TEST(TraceTableTest, InterleavedJobsLoadAndDisorderNamesTheLine) {
+  const fs::path dir = TempDir("tracetab_order");
+  const std::string path = (dir / "traces.csv").string();
+  {
+    std::ofstream out(path);
+    out << "job_id,offset_s,cpu_util,gpu_util,node_power_w\n"
+        << "1,0,0.5,,\n2,0,0.25,,\n1,20,0.75,,100\n2,20,,,\n";
+  }
+  const TraceTable traces = LoadTraceTable(path);
+  ASSERT_EQ(traces.size(), 2u);
+  EXPECT_EQ(traces.at(1).cpu_util.offsets(), (std::vector<SimDuration>{0, 20}));
+  EXPECT_DOUBLE_EQ(traces.at(1).node_power_w.Sample(0), 100.0);
+  EXPECT_EQ(traces.at(2).cpu_util.size(), 1u);
+  {
+    std::ofstream out(path);
+    out << "job_id,offset_s,cpu_util,gpu_util,node_power_w\n"
+        << "1,20,0.5,,\n2,0,0.25,,\n1,20,0.75,,\n";
+  }
+  try {
+    LoadTraceTable(path);
+    ADD_FAILURE() << "a repeated offset loaded";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":4: job 1 cpu_util"), std::string::npos)
+        << e.what();
+  }
+  {
+    std::ofstream out(path);
+    out << "job_id,offset_s,cpu_util,gpu_util,node_power_w\n1,0,half,,\n";
+  }
+  try {
+    LoadTraceTable(path);
+    ADD_FAILURE() << "a malformed value loaded";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find(path + ":2: 'half'"), std::string::npos)
+        << e.what();
+  }
+  fs::remove_all(dir);
+}
+
+TEST(TraceTableTest, AttachGivesRepeatedIdsTheirOwnCopy) {
+  std::vector<Job> jobs(3);
+  jobs[0].id = 4;
+  jobs[1].id = 5;
+  jobs[2].id = 4;
+  jobs[2].gpu_util = TraceSeries::Constant(0.3);
+  TraceTable traces;
+  traces[4].cpu_util = TraceSeries({0, 20}, {0.1, 0.9});
+  AttachTraces(jobs, std::move(traces));
+  EXPECT_EQ(jobs[0].cpu_util.values(), (std::vector<double>{0.1, 0.9}));
+  EXPECT_EQ(jobs[2].cpu_util.values(), (std::vector<double>{0.1, 0.9}));
+  EXPECT_TRUE(jobs[1].cpu_util.empty());
+  EXPECT_TRUE(jobs[2].gpu_util.is_constant());  // an empty series attaches nothing
 }
 
 TEST(TraceTableTest, AttachMatchesIds) {

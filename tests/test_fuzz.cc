@@ -2,20 +2,37 @@
 // backfill modes, systems, and failure injections, the engine must uphold
 // its invariants — no crash, utilisation within [0,100], conservation of
 // job states, monotone time, positive energies, and capacity never
-// oversubscribed.  Plus per-CDU cooling model properties.
+// oversubscribed.  Plus per-CDU cooling model properties, and the CSV input
+// surface: the streaming tokenizer against the whole-text parser it
+// replaced, and the streaming jobs/traces loaders against the table-based
+// ones on byte-mutated files.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <map>
+#include <optional>
+#include <sstream>
+#include <stdexcept>
 
+#include "common/csv.h"
 #include "common/rng.h"
 #include "cooling/multi_cdu.h"
 #include "core/simulation.h"
+#include "dataloaders/dataloader.h"
+#include "dataloaders/jobs_io.h"
 #include "dataloaders/replay_synth.h"
+#include "dataloaders/trace_table.h"
 #include "grid/grid_environment.h"
 #include "workload/synthetic.h"
 
 namespace sraps {
 namespace {
+
+namespace fs = std::filesystem;
 
 struct FuzzCase {
   std::uint64_t seed;
@@ -786,6 +803,411 @@ TEST(MultiCduTest, SecondaryLoopLagsStep) {
   for (int i = 0; i < 500; ++i) settled = m.Step(UniformSplit(m, high), 0, 60.0);
   EXPECT_GT(after_1step, before);                          // moving up
   EXPECT_GT(settled.cdus[0].return_temp_c, after_1step);   // not yet settled
+}
+
+// --- CSV surface fuzz ------------------------------------------------------------
+
+/// The table parser CsvReader replaced: one pass over the whole text, kept
+/// here as the tokenizer's oracle.
+std::vector<std::vector<std::string>> OracleParseRows(const std::string& text) {
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  std::string field;
+  bool in_quotes = false;
+  bool field_started = false;
+
+  auto end_field = [&] {
+    row.push_back(std::move(field));
+    field.clear();
+    field_started = false;
+  };
+  auto end_row = [&] {
+    end_field();
+    rows.push_back(std::move(row));
+    row.clear();
+  };
+
+  for (std::size_t i = 0; i < text.size(); ++i) {
+    const char c = text[i];
+    if (in_quotes) {
+      if (c == '"') {
+        if (i + 1 < text.size() && text[i + 1] == '"') {
+          field += '"';
+          ++i;
+        } else {
+          in_quotes = false;
+        }
+      } else {
+        field += c;
+      }
+      continue;
+    }
+    switch (c) {
+      case '"':
+        in_quotes = true;
+        field_started = true;
+        break;
+      case ',':
+        end_field();
+        field_started = true;
+        break;
+      case '\r':
+        break;
+      case '\n':
+        if (!row.empty() || !field.empty() || field_started) end_row();
+        break;
+      default:
+        field += c;
+        break;
+    }
+  }
+  if (in_quotes) throw std::runtime_error("CSV: unterminated quoted field");
+  if (!row.empty() || !field.empty() || field_started) end_row();
+  return rows;
+}
+
+/// Every row CsvReader yields for `text` read through `buffer_size` bytes at
+/// a time, or nullopt when it throws std::runtime_error.
+std::optional<std::vector<std::vector<std::string>>> ReaderRows(const std::string& text,
+                                                                std::size_t buffer_size) {
+  CsvReader reader = CsvReader::FromText(text, buffer_size);
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> fields;
+  try {
+    while (reader.Next(fields)) rows.push_back(fields);
+  } catch (const std::runtime_error&) {
+    return std::nullopt;
+  }
+  return rows;
+}
+
+void ExpectReaderMatchesOracle(const std::string& text, std::size_t buffer_size) {
+  std::optional<std::vector<std::vector<std::string>>> want;
+  try {
+    want = OracleParseRows(text);
+  } catch (const std::runtime_error&) {
+    // An unterminated quote: the reader must throw too.
+  }
+  EXPECT_EQ(ReaderRows(text, buffer_size), want)
+      << "buffer " << buffer_size << ", input '" << text << "'";
+}
+
+TEST(CsvFuzz, ReaderMatchesWholeTextParser) {
+  // Short random texts over the bytes the grammar cares about, read through
+  // buffers from one byte up, so every token lands on a boundary somewhere.
+  const std::string alphabet = "ab1,,\"\"\r\n\n ";
+  Rng rng(41);
+  for (int c = 0; c < 2000; ++c) {
+    std::string text(static_cast<std::size_t>(rng.UniformInt(0, 40)), ' ');
+    for (char& ch : text) {
+      ch = alphabet[static_cast<std::size_t>(
+          rng.UniformInt(0, static_cast<std::int64_t>(alphabet.size()) - 1))];
+    }
+    for (const std::size_t buffer : {1u, 2u, 3u, 5u, 8u, 64u}) {
+      ExpectReaderMatchesOracle(text, buffer);
+    }
+  }
+}
+
+TEST(CsvFuzz, FeaturesAcrossTheReadBufferBoundary) {
+  // Inputs longer than the default read buffer with a quoted field, a ""
+  // escape and a \r\n each placed across the first buffer boundary.
+  const std::size_t kBuf = CsvReader::kBufferSize;
+  const std::vector<std::string> features = {"\"a,b\nc\"", "\"x\"\"y\"", "9\r\n"};
+  for (const std::string& feature : features) {
+    for (std::size_t cut = 0; cut <= feature.size(); ++cut) {
+      // Filler rows of "k,v" up to the point where `feature`, the second
+      // field of its row, has `cut` of its bytes before byte kBuf.
+      std::string text = "key,value\n";
+      while (text.size() + 8 < kBuf - cut) text += "k,v\n";
+      text += std::string(kBuf - cut - text.size() - 1, 'z') + ",";
+      text += feature;
+      text += ",tail\nlast,row\n";
+      ExpectReaderMatchesOracle(text, kBuf);
+      ExpectReaderMatchesOracle(text, kBuf / 2 + 1);
+    }
+  }
+}
+
+/// One random edit of `text`: a byte replaced, inserted or deleted, drawn
+/// from the bytes CSV and the loaders' cell grammars care about.
+void MutateOnce(Rng& rng, std::string& text) {
+  static const std::string bytes = "0123456789-+.eE,\"\r\n|x ";
+  const char b = bytes[static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(bytes.size()) - 1))];
+  const auto at = static_cast<std::size_t>(
+      rng.UniformInt(0, static_cast<std::int64_t>(text.size())));
+  switch (rng.UniformInt(0, 2)) {
+    case 0:
+      if (at < text.size()) text[at] = b;
+      break;
+    case 1:
+      text.insert(at, 1, b);
+      break;
+    default:
+      if (at < text.size()) text.erase(at, 1);
+      break;
+  }
+}
+
+void WriteText(const fs::path& path, const std::string& text) {
+  std::ofstream out(path, std::ios::binary);
+  out << text;
+}
+
+std::string ReadText(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+/// What a loader did with one file: the exception type it threw (empty when
+/// it loaded) and its message.
+struct Outcome {
+  std::string thrown;
+  std::string message;
+};
+
+template <typename Fn>
+Outcome Attempt(Fn&& fn) {
+  try {
+    fn();
+    return {};
+  } catch (const std::bad_optional_access& e) {
+    return {"bad_optional_access", e.what()};
+  } catch (const std::invalid_argument& e) {
+    return {"invalid_argument", e.what()};
+  } catch (const std::out_of_range& e) {
+    return {"out_of_range", e.what()};
+  } catch (const std::runtime_error& e) {
+    return {"runtime_error", e.what()};
+  } catch (const std::exception& e) {
+    return {"exception", e.what()};
+  }
+}
+
+/// Byte-mutates the file `write` makes, then loads it with the table-based
+/// loader and the streaming one, `cases` times per edit count.
+///  - One edit makes at most one fault, and both loaders must then throw the
+///    same type, except that the table loader reached an empty required
+///    jobs.csv cell through optional::value() (a message-less
+///    bad_optional_access) where the streaming one throws runtime_error.
+///  - With several edits the streaming loader reports the first fault in
+///    file order, while the table loader reported a ragged row or an
+///    unterminated quote anywhere before any cell fault; only whether they
+///    throw must agree.
+/// Every streaming error names the file and the line; files both load must
+/// hold the same values (`same`).
+template <typename Table, typename Stream, typename Write, typename Same>
+void FuzzLoader(const fs::path& path, std::uint64_t seed, int cases, Write write,
+                Table table_load, Stream stream_load, Same same) {
+  Rng rng(seed);
+  for (const int edits : {1, 2}) {
+    int loaded = 0;
+    for (int c = 0; c < cases; ++c) {
+      write(rng, c);
+      std::string text = ReadText(path);
+      for (int e = 0; e < edits; ++e) MutateOnce(rng, text);
+      WriteText(path, text);
+      decltype(table_load(c)) want_value;
+      decltype(stream_load(c)) got_value;
+      const Outcome want = Attempt([&] { want_value = table_load(c); });
+      const Outcome got = Attempt([&] { got_value = stream_load(c); });
+      if (edits == 1) {
+        const std::string type =
+            want.thrown == "bad_optional_access" ? "runtime_error" : want.thrown;
+        EXPECT_EQ(got.thrown, type) << "table: " << want.message
+                                    << "\nstream: " << got.message << "\ninput:\n"
+                                    << text;
+      } else {
+        EXPECT_EQ(got.thrown.empty(), want.thrown.empty())
+            << "table: " << want.message << "\nstream: " << got.message
+            << "\ninput:\n" << text;
+      }
+      if (!got.thrown.empty()) {
+        EXPECT_NE(got.message.find(path.string() + ":"), std::string::npos)
+            << got.message;
+      }
+      if (want.thrown.empty() && got.thrown.empty()) {
+        ++loaded;
+        EXPECT_TRUE(same(want_value, got_value)) << "input:\n" << text;
+      }
+    }
+    // The edits must leave both outcomes common, or the check proves little.
+    EXPECT_GT(loaded, cases / 20) << edits << " edits";
+    EXPECT_LT(loaded, cases - cases / 20) << edits << " edits";
+  }
+}
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+bool SameSeries(const TraceSeries& a, const TraceSeries& b) {
+  if (a.size() != b.size() || a.is_constant() != b.is_constant() ||
+      a.offsets() != b.offsets()) {
+    return false;
+  }
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (!SameBits(a.values()[i], b.values()[i])) return false;
+  }
+  return true;
+}
+
+/// The CsvTable-based traces.csv loader the streaming one replaced.
+std::map<JobId, JobTraces> TableLoadTraceTable(const std::string& path) {
+  struct SeriesBuilder {
+    std::vector<SimDuration> offsets;
+    std::vector<double> values;
+
+    void Add(SimDuration offset, double v) {
+      offsets.push_back(offset);
+      values.push_back(v);
+    }
+    TraceSeries Build() && {
+      if (offsets.empty()) return TraceSeries();
+      return TraceSeries(std::move(offsets), std::move(values));
+    }
+  };
+  const CsvTable table = CsvTable::Load(path);
+  std::map<JobId, JobTraces> result;
+  std::map<JobId, SeriesBuilder> cpu, gpu, power;
+  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+    const auto id_opt = table.GetInt(r, "job_id");
+    const auto off_opt = table.GetInt(r, "offset_s");
+    if (!id_opt || !off_opt) {
+      throw std::runtime_error("traces.csv: row " + std::to_string(r) +
+                               " missing job_id/offset_s");
+    }
+    const JobId id = *id_opt;
+    const SimDuration off = *off_opt;
+    if (auto v = table.GetDouble(r, "cpu_util")) cpu[id].Add(off, *v);
+    if (auto v = table.GetDouble(r, "gpu_util")) gpu[id].Add(off, *v);
+    if (auto v = table.GetDouble(r, "node_power_w")) power[id].Add(off, *v);
+  }
+  for (auto& [id, b] : cpu) result[id].cpu_util = std::move(b).Build();
+  for (auto& [id, b] : gpu) result[id].gpu_util = std::move(b).Build();
+  for (auto& [id, b] : power) result[id].node_power_w = std::move(b).Build();
+  return result;
+}
+
+/// The CsvTable-based jobs.csv reader the streaming one replaced.
+std::vector<Job> TableReadJobsCsv(const std::string& path, bool filter_shared) {
+  const CsvTable t = CsvTable::Load(path);
+  const bool has_shared = t.ColumnIndex("shared").has_value();
+  std::vector<Job> jobs;
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    if (filter_shared && has_shared) {
+      if (const auto s = t.GetInt(r, "shared"); s && *s != 0) continue;
+    }
+    Job j;
+    j.id = t.GetInt(r, "job_id").value();
+    j.user = t.Cell(r, "user");
+    j.account = t.Cell(r, "account");
+    j.submit_time = t.GetInt(r, "submit_time").value();
+    j.recorded_start = t.GetInt(r, "start_time").value_or(-1);
+    j.recorded_end = t.GetInt(r, "end_time").value_or(-1);
+    j.time_limit = t.GetInt(r, "time_limit").value_or(0);
+    j.nodes_required = static_cast<int>(t.GetInt(r, "num_nodes").value());
+    j.recorded_nodes = loader_detail::ParseNodeList(t.Cell(r, "nodes_allocated"));
+    j.priority = t.GetDouble(r, "priority").value_or(0.0);
+    if (auto p = t.GetDouble(r, "avg_node_power_w")) {
+      j.node_power_w = TraceSeries::Constant(*p);
+    }
+    j.name = "job-" + std::to_string(j.id);
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
+bool SameJob(const Job& a, const Job& b) {
+  return a.id == b.id && a.name == b.name && a.user == b.user && a.account == b.account &&
+         a.submit_time == b.submit_time && a.recorded_start == b.recorded_start &&
+         a.recorded_end == b.recorded_end && a.time_limit == b.time_limit &&
+         a.nodes_required == b.nodes_required && a.recorded_nodes == b.recorded_nodes &&
+         SameBits(a.priority, b.priority) && SameSeries(a.node_power_w, b.node_power_w);
+}
+
+/// A few jobs with traces on mini's cadence: interleaving, gaps and the
+/// empty cells of a series that has no sample at some offset.
+std::vector<Job> FuzzJobs(Rng& rng) {
+  std::vector<Job> jobs;
+  for (JobId id = 1; id <= 3; ++id) {
+    Job j;
+    j.id = id * 7;
+    j.user = "u" + std::to_string(id);
+    j.account = id == 2 ? "a,quoted" : "acct";
+    j.submit_time = rng.UniformInt(0, 500);
+    j.recorded_start = j.submit_time + rng.UniformInt(0, 60);
+    j.recorded_end = j.recorded_start + rng.UniformInt(60, 600);
+    j.time_limit = 900;
+    j.nodes_required = static_cast<int>(id);
+    for (int n = 0; n < j.nodes_required; ++n) j.recorded_nodes.push_back(n * 3);
+    j.priority = rng.Uniform(-10, 10);
+    std::vector<SimDuration> off;
+    std::vector<double> cpu;
+    for (SimDuration t = 0; t < 80; t += 20) {
+      off.push_back(t);
+      cpu.push_back(rng.Uniform(0, 1));
+    }
+    j.cpu_util = TraceSeries(off, cpu);
+    if (id != 2) {
+      j.node_power_w = TraceSeries({off[0], off[2]}, {rng.Uniform(100, 900), 250.0});
+    } else {
+      j.node_power_w = TraceSeries::Constant(rng.Uniform(100, 900));
+    }
+    jobs.push_back(std::move(j));
+  }
+  return jobs;
+}
+
+fs::path FuzzDir(const std::string& name) {
+  const fs::path dir = fs::temp_directory_path() / ("sraps_fuzz_" + name);
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  return dir;
+}
+
+TEST(CsvFuzz, TraceLoaderMatchesTableLoader) {
+  const fs::path dir = FuzzDir("traces");
+  const fs::path path = dir / "traces.csv";
+  FuzzLoader(
+      path, 43, 300, [&](Rng& rng, int) { SaveTraceTable(path.string(), FuzzJobs(rng)); },
+      [&](int) { return TableLoadTraceTable(path.string()); },
+      [&](int) { return LoadTraceTable(path.string()); },
+      [](const std::map<JobId, JobTraces>& table, const TraceTable& stream) {
+        if (stream.size() != table.size()) return false;
+        for (const auto& [id, t] : table) {
+          const auto it = stream.find(id);
+          if (it == stream.end() || !SameSeries(it->second.cpu_util, t.cpu_util) ||
+              !SameSeries(it->second.gpu_util, t.gpu_util) ||
+              !SameSeries(it->second.node_power_w, t.node_power_w)) {
+            return false;
+          }
+        }
+        return true;
+      });
+  fs::remove_all(dir);
+}
+
+TEST(CsvFuzz, JobsLoaderMatchesTableLoader) {
+  const fs::path dir = FuzzDir("jobs");
+  const fs::path path = dir / "jobs.csv";
+  // Odd cases filter the shared-node rows out, as the Marconi100 loader does.
+  FuzzLoader(
+      path, 47, 300,
+      [&](Rng& rng, int) {
+        WriteJobsCsv(path.string(), FuzzJobs(rng), {false, true, false});
+      },
+      [&](int c) { return TableReadJobsCsv(path.string(), c % 2 == 1); },
+      [&](int c) { return ReadJobsCsv(path.string(), c % 2 == 1); },
+      [](const std::vector<Job>& table, const std::vector<Job>& stream) {
+        if (stream.size() != table.size()) return false;
+        for (std::size_t i = 0; i < table.size(); ++i) {
+          if (!SameJob(table[i], stream[i])) return false;
+        }
+        return true;
+      });
+  fs::remove_all(dir);
 }
 
 }  // namespace

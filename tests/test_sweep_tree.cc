@@ -831,6 +831,21 @@ TEST(TreeRunnerTest, MixedSchedulerGridNeverProbesOrFallsBack) {
   EXPECT_LE(stats.Trajectories(), 4u);
 }
 
+TEST(TreeRunnerTest, PlainRunsCountTowardsSavedSimTime) {
+  // cap {100 kW, 0} x scheduler {default, scheduleflow}: the default root
+  // shares one trajectory between both caps, and scheduleflow's two members
+  // run plainly.  Three windows stepped for four scenarios: 25 % saved, less
+  // the final tick each cap branch steps after the fork.  Counting only the
+  // shared root read 50 %.
+  SweepSpec sweep = MixedGrid("scheduler", "default", "scheduleflow");
+  sweep.axes.pop_back();  // cap x scheduler
+  const TreeStats stats = ExpectTreeMatchesPlain(sweep, "plaincount");
+  EXPECT_EQ(stats.plain_runs, 2u);
+  EXPECT_EQ(stats.Trajectories(), 3u);
+  EXPECT_NEAR(stats.SavedFraction(), 0.25, 1e-3);
+  EXPECT_LT(stats.SavedFraction(), 0.25);
+}
+
 TEST(TreeRunnerTest, RunTimeFallbackCountsItsRerunsAsSteppedWork) {
   // The second DR schedule lies after the simulated window: the plain path
   // rejects it, and so does ForkWithPatch at the window's fork, so every
