@@ -65,7 +65,6 @@ MultiCduSample MultiCduCoolingModel::Step(const std::vector<double>& per_cdu_hea
     hot = std::max(hot, cdu.return_temp_c);
     cold = std::min(cold, cdu.return_temp_c);
   }
-  sample.cdus = cdus_;
   sample.hottest_cdu_c = hot;
   sample.coldest_cdu_c = cold;
   sample.spread_c = hot - cold;

@@ -27,7 +27,6 @@ struct CduState {
 
 struct MultiCduSample {
   CoolingSample facility;           ///< the shared loop/tower sample
-  std::vector<CduState> cdus;       ///< per-CDU secondary state
   double hottest_cdu_c = 0.0;
   double coldest_cdu_c = 0.0;
   double spread_c = 0.0;            ///< hottest - coldest (hot-spot indicator)
@@ -52,7 +51,7 @@ class MultiCduCoolingModel {
   const CoolingSpec& spec() const { return facility_.spec(); }
   /// The shared facility loop (snapshot fingerprints hash its thermal state).
   const CoolingModel& facility() const { return facility_; }
-  /// Current per-CDU secondary-loop states.
+  /// Current per-CDU secondary-loop states (as of the last Step).
   const std::vector<CduState>& cdu_states() const { return cdus_; }
 
  private:

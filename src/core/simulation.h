@@ -27,10 +27,6 @@ namespace sraps {
 
 class SimStateSnapshot;
 
-/// Backwards-compatible name for the declarative scenario description the
-/// facade consumes; new code should say ScenarioSpec.
-using SimulationOptions = ScenarioSpec;
-
 class Simulation {
  public:
   /// Thin shim: delegates to SimulationBuilder (loads data, constructs

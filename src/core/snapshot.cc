@@ -4,6 +4,9 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
 #include "core/simulation.h"
 #include "core/simulation_builder.h"
@@ -39,9 +42,171 @@ class Fnv64 {
   std::uint64_t hash_ = 1469598103934665603ULL;
 };
 
+// --- EngineState field rules ---------------------------------------------
+// One HashField and one FieldBytes overload per EngineState field type, walked
+// by ForEachField.  Scalars hash by their bits and live inside
+// sizeof(EngineState); a field of any other type without its own overload
+// fails the static_asserts below.  FieldBytes estimates what a field holds
+// beyond sizeof(EngineState).
+
+template <typename T>
+void HashField(Fnv64& h, const T& v) {
+  static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                "an EngineState field type needs its own HashField rule");
+  h.Bytes(&v, sizeof v);
+}
+template <typename T>
+std::size_t FieldBytes(const T&) {
+  static_assert(std::is_arithmetic_v<T> || std::is_enum_v<T>,
+                "an EngineState field type needs its own FieldBytes rule");
+  return 0;
+}
+template <typename A, typename B>
+void HashField(Fnv64& h, const std::pair<A, B>& p) {
+  HashField(h, p.first);
+  HashField(h, p.second);
+}
+template <typename T>
+void HashField(Fnv64& h, const std::vector<T>& v) {
+  h.U64(v.size());
+  for (const T& x : v) HashField(h, x);
+}
+template <typename T>
+std::size_t FieldBytes(const std::vector<T>& v) {
+  return v.size() * sizeof(T);
+}
+
+void HashField(Fnv64& h, const ResourceManager& rm) {
+  h.U64(static_cast<std::uint64_t>(rm.total_nodes()));
+  for (int n = 0; n < rm.total_nodes(); ++n) {
+    h.U64((rm.IsFree(n) ? 1u : 0u) | (rm.IsDown(n) ? 2u : 0u) |
+          (rm.IsPendingDown(n) ? 4u : 0u) | (rm.IsAsleep(n) ? 8u : 0u));
+  }
+}
+std::size_t FieldBytes(const ResourceManager& rm) {
+  return static_cast<std::size_t>(rm.total_nodes()) * 2;
+}
+
+/// The lumped loop: its temperature is the whole trajectory state.
+void HashField(Fnv64& h, const CoolingModel& c) { h.D(c.loop_temp_c()); }
+std::size_t FieldBytes(const CoolingModel&) { return 0; }
+
+void HashField(Fnv64& h, const MultiCduCoolingModel& m) {
+  h.D(m.facility().loop_temp_c());
+  h.U64(m.cdu_states().size());
+  for (const CduState& cdu : m.cdu_states()) {
+    h.D(cdu.return_temp_c);
+    h.D(cdu.heat_w);
+  }
+}
+std::size_t FieldBytes(const MultiCduCoolingModel& m) {
+  return sizeof(MultiCduCoolingModel) + m.cdu_states().size() * sizeof(CduState);
+}
+
+template <typename T>
+void HashField(Fnv64& h, const std::optional<T>& o) {
+  h.U64(o.has_value() ? 1 : 0);
+  if (o) HashField(h, *o);
+}
+template <typename T>
+std::size_t FieldBytes(const std::optional<T>& o) {
+  return o ? FieldBytes(*o) : 0;
+}
+
+/// Jobs hash by their realised schedule (the inputs never change in a run)
+/// and size by their strings, traces and node lists.
+void HashField(Fnv64& h, const std::vector<Job>& jobs) {
+  h.U64(jobs.size());
+  for (const Job& job : jobs) {
+    HashField(h, job.state);
+    h.I64(job.start);
+    h.I64(job.end);
+    HashField(h, job.assigned_nodes);
+  }
+}
 std::size_t TraceBytes(const TraceSeries& t) {
   return t.offsets().size() * sizeof(SimDuration) + t.values().size() * sizeof(double);
 }
+std::size_t FieldBytes(const std::vector<Job>& jobs) {
+  std::size_t bytes = 0;
+  for (const Job& job : jobs) {
+    bytes += sizeof(Job) + job.name.size() + job.user.size() + job.account.size();
+    bytes += TraceBytes(job.cpu_util) + TraceBytes(job.gpu_util) +
+             TraceBytes(job.node_power_w);
+    bytes += (job.recorded_nodes.size() + job.assigned_nodes.size()) * sizeof(int);
+  }
+  return bytes;
+}
+
+void HashField(Fnv64& h, const JobQueue& q) { HashField(h, q.handles()); }
+std::size_t FieldBytes(const JobQueue& q) { return FieldBytes(q.handles()); }
+
+/// Completion records hash through their own order-sensitive digest.
+void HashField(Fnv64& h, const SimulationStats& stats) {
+  h.U64(stats.Fingerprint());
+  h.U64(stats.records().size());
+}
+std::size_t FieldBytes(const SimulationStats& stats) {
+  std::size_t bytes = 0;
+  for (const JobRecord& rec : stats.records()) {
+    bytes += sizeof(JobRecord) + rec.account.size() + rec.user.size();
+  }
+  return bytes;
+}
+
+/// Telemetry hashes names, sizes and the tail sample per channel, not the
+/// full arrays: the job, stats and heap fields already pin the trajectory,
+/// so O(channels) here keeps the digest cheap on history-heavy runs.
+void HashField(Fnv64& h, const TimeSeriesRecorder& recorder) {
+  const std::vector<std::string> channels = recorder.ChannelNames();
+  h.U64(channels.size());
+  for (const std::string& name : channels) {
+    const Channel& ch = recorder.Get(name);
+    h.Str(name);
+    h.U64(ch.times.size());
+    if (!ch.times.empty()) {
+      h.I64(ch.times.back());
+      h.D(ch.values.back());
+    }
+  }
+}
+std::size_t FieldBytes(const TimeSeriesRecorder& recorder) {
+  std::size_t bytes = 0;
+  for (const std::string& name : recorder.ChannelNames()) {
+    const Channel& ch = recorder.Get(name);
+    bytes += name.size() + ch.times.size() * sizeof(SimTime) +
+             ch.values.size() * sizeof(double);
+  }
+  return bytes;
+}
+
+void HashField(Fnv64& h, const AccountRegistry& accounts) {
+  const std::vector<std::string> names = accounts.AccountNames();
+  h.U64(names.size());
+  for (const std::string& name : names) {
+    const AccountStats& a = accounts.Get(name);
+    h.Str(name);
+    h.I64(a.jobs_completed);
+    for (const double v : {a.node_seconds, a.energy_j, a.edp_sum, a.ed2p_sum,
+                           a.wait_seconds, a.turnaround_seconds, a.fugaku_points}) {
+      h.D(v);
+    }
+  }
+}
+std::size_t FieldBytes(const AccountRegistry& accounts) {
+  std::size_t bytes = 0;
+  for (const std::string& name : accounts.AccountNames()) {
+    bytes += sizeof(AccountStats) + name.size();
+  }
+  return bytes;
+}
+
+void HashField(Fnv64& h, const EngineCounters& c) {
+  static_assert(std::has_unique_object_representations_v<EngineCounters>,
+                "EngineCounters must hash by its bytes: no padding");
+  h.Bytes(&c, sizeof c);
+}
+std::size_t FieldBytes(const EngineCounters&) { return 0; }
 
 bool SameDrWindows(const std::vector<DrWindow>& a, const std::vector<DrWindow>& b) {
   if (a.size() != b.size()) return false;
@@ -197,143 +362,13 @@ std::size_t SimStateSnapshot::ApproxBytes() const {
 
 std::uint64_t EngineStateFingerprint(const EngineState& s) {
   Fnv64 h;
-  h.I64(s.now);
-  h.U64(s.events_this_tick ? 1 : 0);
-  h.U64(s.next_submit);
-  h.U64(s.next_outage_begin);
-  h.U64(s.next_outage_end);
-  h.U64(s.next_grid_event);
-  h.U64(s.counters.submitted);
-  h.U64(s.counters.started);
-  h.U64(s.counters.completed);
-  h.U64(s.counters.dismissed);
-  h.U64(s.counters.prepopulated);
-  h.U64(s.counters.scheduler_invocations);
-  h.U64(s.counters.scheduler_skips);
-  h.U64(s.counters.calendar_steps);
-  h.U64(s.counters.batched_ticks);
-  h.U64(s.counters.grid_events);
-  h.U64(s.counters.power_plan_invocations);
-  h.U64(s.counters.pstate_changes);
-  h.U64(s.counters.nodes_slept);
-  h.U64(s.counters.nodes_woken);
-  h.U64(s.counters.thermal_trips);
-  h.U64(s.counters.thermal_clears);
-  h.U64(s.queue.size());
-  for (const JobQueue::Handle handle : s.queue.handles()) h.U64(handle);
-  h.U64(s.running.size());
-  for (const JobQueue::Handle handle : s.running) h.U64(handle);
-  // The heap array in storage order: pop ties are part of the state.
-  h.U64(s.completions.size());
-  for (const auto& [end, handle] : s.completions) {
-    h.I64(end);
-    h.U64(handle);
-  }
-  h.U64(s.jobs.size());
-  for (const Job& job : s.jobs) {
-    h.U64(static_cast<std::uint64_t>(job.state));
-    h.I64(job.start);
-    h.I64(job.end);
-    h.U64(job.assigned_nodes.size());
-    for (const int node : job.assigned_nodes) h.I64(node);
-  }
-  for (const double e : s.job_energy_j) h.D(e);
-  h.D(s.grid_cost_usd);
-  h.D(s.grid_co2_kg);
-  h.U64(s.stats.Fingerprint());
-  h.U64(s.stats.records().size());
-  if (s.cooling) h.D(s.cooling->loop_temp_c());
-  if (s.multi_cooling) {
-    h.D(s.multi_cooling->facility().loop_temp_c());
-    h.U64(s.multi_cooling->cdu_states().size());
-    for (const CduState& cdu : s.multi_cooling->cdu_states()) {
-      h.D(cdu.return_temp_c);
-      h.D(cdu.heat_w);
-    }
-  }
-  h.U64(s.node_inlet_c.size());
-  for (const double t : s.node_inlet_c) h.D(t);
-  h.D(s.thermal_leak_j);
-  h.D(s.peak_inlet_c);
-  // Transient-thermal state: rack RC temperatures, the CRAC supply, and the
-  // per-(rack, class) trip flags are trajectory state like the loop temps.
-  h.U64(s.rack_temp_c.size());
-  for (const double t : s.rack_temp_c) h.D(t);
-  h.D(s.crac_supply_c);
-  h.U64(s.rack_class_tripped.size());
-  if (!s.rack_class_tripped.empty()) {
-    h.Bytes(s.rack_class_tripped.data(), s.rack_class_tripped.size());
-  }
-  h.U64(s.thermal_event_pending ? 1 : 0);
-  h.U64(s.tick_wall_kwh.size());
-  if (!s.tick_wall_kwh.empty()) h.D(s.tick_wall_kwh.back());
-  // Per-node power state: rungs and modes are dense per-node bytes, wake
-  // events a heap array (storage order, like completions).
-  h.U64(s.node_pstate.size());
-  if (!s.node_pstate.empty()) h.Bytes(s.node_pstate.data(), s.node_pstate.size());
-  h.U64(s.node_mode.size());
-  for (const NodePowerMode m : s.node_mode) h.U64(static_cast<std::uint64_t>(m));
-  h.U64(s.wake_events.size());
-  for (const auto& [at, node] : s.wake_events) {
-    h.I64(at);
-    h.I64(node);
-  }
-  for (const double e : s.class_energy_j) h.D(e);
-  h.D(s.last_wall_power_w);
-  h.D(s.last_busy_power_w);
-  h.U64(s.power_event_pending ? 1 : 0);
-  // Telemetry: sizes + tail sample per channel, not the full arrays — the
-  // job/stats/heap fields above already pin the trajectory, so O(channels)
-  // here keeps Fingerprint cheap on history-heavy runs.
-  const std::vector<std::string> channels = s.recorder.ChannelNames();
-  h.U64(channels.size());
-  for (const std::string& name : channels) {
-    const Channel& ch = s.recorder.Get(name);
-    h.Str(name);
-    h.U64(ch.times.size());
-    if (!ch.times.empty()) {
-      h.I64(ch.times.back());
-      h.D(ch.values.back());
-    }
-  }
+  ForEachField(s, [&h](const auto& field) { HashField(h, field); });
   return h.hash();
 }
 
 std::size_t EngineStateBytes(const EngineState& s) {
   std::size_t bytes = sizeof(EngineState);
-  for (const Job& job : s.jobs) {
-    bytes += sizeof(Job);
-    bytes += job.name.size() + job.user.size() + job.account.size();
-    bytes += TraceBytes(job.cpu_util) + TraceBytes(job.gpu_util) +
-             TraceBytes(job.node_power_w);
-    bytes += (job.recorded_nodes.size() + job.assigned_nodes.size()) * sizeof(int);
-  }
-  bytes += s.queue.size() * sizeof(JobQueue::Handle);
-  bytes += s.submit_order.size() * sizeof(JobQueue::Handle);
-  bytes += s.running.size() * sizeof(JobQueue::Handle);
-  bytes += s.completions.size() * sizeof(std::pair<SimTime, JobQueue::Handle>);
-  bytes += s.job_energy_j.size() * sizeof(double);
-  bytes += s.tick_wall_kwh.size() * sizeof(double);
-  bytes += s.node_pstate.size() * sizeof(std::uint8_t);
-  bytes += s.node_mode.size() * sizeof(NodePowerMode);
-  bytes += s.wake_events.size() * sizeof(std::pair<SimTime, int>);
-  bytes += s.class_energy_j.size() * sizeof(double);
-  bytes += s.node_inlet_c.size() * sizeof(double);
-  if (s.multi_cooling) {
-    bytes += sizeof(MultiCduCoolingModel) +
-             s.multi_cooling->cdu_states().size() * sizeof(CduState);
-  }
-  bytes += s.rack_temp_c.size() * sizeof(double);
-  bytes += s.rack_class_tripped.size() * sizeof(std::uint8_t);
-  if (s.rm) bytes += static_cast<std::size_t>(s.rm->total_nodes()) * 2;
-  for (const JobRecord& rec : s.stats.records()) {
-    bytes += sizeof(JobRecord) + rec.account.size() + rec.user.size();
-  }
-  for (const std::string& name : s.recorder.ChannelNames()) {
-    const Channel& ch = s.recorder.Get(name);
-    bytes += name.size() + ch.times.size() * sizeof(SimTime) +
-             ch.values.size() * sizeof(double);
-  }
+  ForEachField(s, [&bytes](const auto& field) { bytes += FieldBytes(field); });
   return bytes;
 }
 

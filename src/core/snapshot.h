@@ -53,11 +53,13 @@ bool PatchableScheduler(const std::string& name);
 /// forks.  The sweep tree asks this per root before it runs anything.
 const char* PatchForkRefusal(const ScenarioSpec& spec);
 
-/// Stable 64-bit digest of an engine state (SimStateSnapshot::Fingerprint).
+/// Stable 64-bit digest of an engine state, one rule per field type over
+/// ForEachField (SimStateSnapshot::Fingerprint).
 std::uint64_t EngineStateFingerprint(const EngineState& state);
 
 /// Estimated resident bytes of an engine state's variable-size parts plus
-/// sizeof(EngineState) (SimStateSnapshot::ApproxBytes).
+/// sizeof(EngineState), one rule per field type over ForEachField
+/// (SimStateSnapshot::ApproxBytes).
 std::size_t EngineStateBytes(const EngineState& state);
 
 /// A self-contained, deep-copied capture of a Simulation between engine
@@ -82,20 +84,20 @@ class SimStateSnapshot {
   /// (ScenarioSpec::capture_grid_basis), i.e. ForkWithGrid is available.
   bool has_grid_basis() const { return engine_options_.capture_grid_basis; }
 
-  /// Stable 64-bit digest of the captured mutable state: the engine clock,
-  /// cursors and counters, every job's realised schedule, the completion
-  /// heap (order included), per-job energy / grid cost / CO2 bit patterns,
-  /// the completion-record digest, thermal counters and state (inlets, CDU
-  /// loops, rack RC temperatures, trip flags), and the cooling-loop
-  /// temperature.  Two snapshots of bit-identical state fingerprint equal;
-  /// advancing the source by even one tick changes the fingerprint.  This
-  /// is the cache key / determinism probe of the scenario service
-  /// (src/serve/).
+  /// Stable 64-bit digest of the captured engine state: every EngineState
+  /// field, walked through ForEachField — jobs by their realised schedule,
+  /// completion records by SimulationStats::Fingerprint, telemetry by
+  /// channel names, sizes and last samples, everything else by its exact
+  /// bits (heap arrays in storage order).  Two snapshots of bit-identical
+  /// state fingerprint equal; advancing the source by even one tick changes
+  /// the fingerprint.  A test and debugging probe only: the scenario
+  /// service keys its cache on a digest of the base spec, and its replies
+  /// carry SimulationStats::Fingerprint.
   std::uint64_t Fingerprint() const;
 
   /// Estimated resident size of the snapshot in bytes (job table with
   /// traces, recorded telemetry, heap/cursor vectors, completion records,
-  /// grid basis, per-node and per-CDU thermal state).  An O(state) walk of
+  /// account registry, grid basis, per-node and per-CDU thermal state).  An O(state) walk of
   /// vector sizes — an accounting figure for cache eviction budgets, not an
   /// allocator-exact measurement.
   std::size_t ApproxBytes() const;

@@ -39,7 +39,10 @@ std::vector<Job> GenerateFrontierDataset(const std::string& dir,
   wl.first_submit = 0;
   wl.horizon = spec.span;
   wl.arrival_rate_per_hour = spec.arrival_rate_per_hour;
-  wl.max_nodes = config.TotalNodes();
+  // Draw no job larger than the recorded-schedule synthesiser below admits.
+  // The clamp follows the draw, so the random stream is unchanged.
+  wl.max_nodes =
+      std::max(1, static_cast<int>(config.TotalNodes() * spec.utilization_cap));
   wl.mean_nodes_log2 = 6.0;  // leadership machine: jobs are hundreds of nodes
   wl.sd_nodes_log2 = 2.4;
   wl.runtime_mu = 8.8;

@@ -26,12 +26,16 @@ SimulationEngine::SimulationEngine(SystemConfig config, std::vector<Job> jobs,
                                    std::unique_ptr<Scheduler> scheduler,
                                    EngineOptions options, AccountRegistry accounts)
     : config_(std::move(config)),
-      jobs_(std::move(jobs)),
       scheduler_(std::move(scheduler)),
       options_(options),
-      rm_(config_.TotalNodes(), options.allocation),
-      power_model_(config_),
-      accounts_(std::move(accounts)) {
+      state_([&] {
+        EngineState s;
+        s.jobs = std::move(jobs);
+        s.rm.emplace(config_.TotalNodes(), options.allocation);
+        s.accounts = std::move(accounts);
+        return s;
+      }()),
+      power_model_(config_) {
   if (!scheduler_) throw std::invalid_argument("SimulationEngine: null scheduler");
   if (options_.sim_end <= options_.sim_start) {
     throw std::invalid_argument(
@@ -78,136 +82,29 @@ SimulationEngine::SimulationEngine(SystemConfig config, std::vector<Job> jobs,
     if (hr_matrix_) {
       // With a thermal topology the placement determines where heat lands;
       // the per-CDU model is the loop that can see that split.
-      multi_cooling_ = std::make_unique<MultiCduCoolingModel>(config_.cooling);
+      state_.multi_cooling.emplace(config_.cooling);
     } else {
-      cooling_ = std::make_unique<CoolingModel>(config_.cooling);
+      state_.cooling.emplace(config_.cooling);
     }
   }
-  SetupTransientThermal();
   Initialize();
 }
 
 SimulationEngine::SimulationEngine(RestoreTag, SystemConfig config,
                                    std::unique_ptr<Scheduler> scheduler,
-                                   EngineOptions options, EngineState state)
+                                   EngineOptions options, EngineState&& state)
     : config_(std::move(config)),
-      jobs_(std::move(state.jobs)),
       scheduler_(std::move(scheduler)),
       options_(std::move(options)),
-      rm_(std::move(*state.rm)),
-      power_model_(config_),
-      queue_(std::move(state.queue)),
-      stats_(std::move(state.stats)),
-      recorder_(std::move(state.recorder)),
-      accounts_(std::move(state.accounts)),
-      counters_(state.counters),
-      now_(state.now) {
-  // Validation happened in Restore(); this constructor only adopts the state
-  // and rebuilds what Initialize() derives deterministically from options.
+      state_(std::move(state)),
+      power_model_(config_) {
+  // Validation happened in Restore(); the state is adopted as it stands.
   tick_ = options_.tick > 0 ? options_.tick : config_.telemetry_interval;
   if (config_.cooling.topology.enabled()) {
     hr_matrix_ = std::make_unique<HeatRecirculationMatrix>(config_.cooling.topology,
                                                            config_.TotalNodes());
   }
-  if (options_.enable_cooling) {
-    if (hr_matrix_) {
-      multi_cooling_ = std::make_unique<MultiCduCoolingModel>(*state.multi_cooling);
-    } else {
-      cooling_ = std::make_unique<CoolingModel>(*state.cooling);
-    }
-  }
-  node_inlet_c_ = std::move(state.node_inlet_c);
-  thermal_leak_j_ = state.thermal_leak_j;
-  peak_inlet_c_ = state.peak_inlet_c;
-  if (hr_matrix_) {
-    if (node_inlet_c_.empty()) {
-      // Pre-thermal snapshot restored onto a thermal config: start from the
-      // supply setpoint, exactly like a fresh engine.
-      node_inlet_c_.assign(config_.TotalNodes(), config_.cooling.supply_temp_c);
-    }
-    class_idle_heat_w_.clear();
-    for (const MachineClassSpec& m : config_.machines) {
-      class_idle_heat_w_.push_back(m.node_power.IdleW());
-    }
-  }
-  SetupTransientThermal();
-  if (transient_on_) {
-    rack_temp_c_ = std::move(state.rack_temp_c);
-    rack_class_tripped_ = std::move(state.rack_class_tripped);
-    crac_supply_c_ = state.crac_supply_c;
-    thermal_event_pending_ = state.thermal_event_pending;
-    const auto racks = static_cast<std::size_t>(hr_matrix_->racks());
-    const std::size_t classes = config_.machines.size();
-    if (rack_temp_c_.empty()) {
-      // Pre-transient snapshot restored onto a transient config: start from
-      // the base supply, exactly like a fresh engine.
-      rack_temp_c_.assign(racks, supply_base_c_);
-      crac_supply_c_ = supply_base_c_;
-    }
-    if (rack_class_tripped_.empty()) rack_class_tripped_.assign(racks * classes, 0);
-    // The tripped-node total is derived; rebuild it from the flags.
-    tripped_node_count_ = 0;
-    for (std::size_t i = 0; i < rack_class_tripped_.size(); ++i) {
-      if (rack_class_tripped_[i]) tripped_node_count_ += rack_class_nodes_[i];
-    }
-  }
-  events_this_tick_ = state.events_this_tick;
-  submit_order_ = std::move(state.submit_order);
-  next_submit_ = state.next_submit;
-  BuildOutageSchedule();
-  next_outage_begin_ = state.next_outage_begin;
-  next_outage_end_ = state.next_outage_end;
-  running_ = std::move(state.running);
-  job_energy_j_ = std::move(state.job_energy_j);
-  completions_ = std::move(state.completions);
-  grid_cost_on_ = !options_.grid.price_usd_per_kwh.empty();
-  grid_co2_on_ = !options_.grid.carbon_kg_per_kwh.empty();
-  grid_events_ = options_.grid.BoundariesIn(options_.sim_start, options_.sim_end);
-  if (state.next_grid_event > grid_events_.size()) {
-    throw std::invalid_argument("SimulationEngine::Restore: grid-event cursor " +
-                                std::to_string(state.next_grid_event) +
-                                " outside the options' boundary schedule (" +
-                                std::to_string(grid_events_.size()) + " entries)");
-  }
-  next_grid_event_ = state.next_grid_event;
-  grid_cost_usd_ = state.grid_cost_usd;
-  grid_co2_kg_ = state.grid_co2_kg;
-  tick_wall_kwh_ = std::move(state.tick_wall_kwh);
-  // Power-state vectors: adopt, then rebuild the derived per-class counters.
-  node_pstate_ = std::move(state.node_pstate);
-  node_mode_ = std::move(state.node_mode);
-  wake_events_ = std::move(state.wake_events);
-  class_energy_j_ = std::move(state.class_energy_j);
-  if (node_pstate_.empty()) node_pstate_.assign(config_.TotalNodes(), 0);
-  if (node_mode_.empty()) {
-    node_mode_.assign(config_.TotalNodes(), NodePowerMode::kActive);
-  }
-  if (class_energy_j_.empty()) class_energy_j_.assign(config_.machines.size(), 0.0);
-  class_c_idle_.assign(config_.machines.size(), 0);
-  class_s_sleep_.assign(config_.machines.size(), 0);
-  nonzero_pstate_nodes_ = 0;
-  waking_nodes_ = 0;
-  for (int n = 0; n < config_.TotalNodes(); ++n) {
-    if (node_pstate_[n] != 0) ++nonzero_pstate_nodes_;
-    switch (node_mode_[n]) {
-      case NodePowerMode::kCIdle: ++class_c_idle_[config_.ClassOf(n)]; break;
-      case NodePowerMode::kSSleep: ++class_s_sleep_[config_.ClassOf(n)]; break;
-      case NodePowerMode::kWaking: ++waking_nodes_; break;
-      case NodePowerMode::kActive: break;
-    }
-  }
-  last_wall_power_w_ = state.last_wall_power_w;
-  last_busy_power_w_ = state.last_busy_power_w;
-  power_event_pending_ = state.power_event_pending;
-  class_energy_on_ = scheduler_->WantsPowerStates();
-  if (class_energy_on_ && !stats_.has_class_energy()) {
-    std::vector<std::string> names;
-    names.reserve(config_.machines.size());
-    for (const MachineClassSpec& m : config_.machines) names.push_back(m.name);
-    stats_.SetClassNames(std::move(names));
-    stats_.SetClassEnergy(class_energy_j_);
-  }
-  ResolveHistoryChannels();
+  AdoptState();
   initialized_ = true;
 }
 
@@ -303,45 +200,46 @@ void SimulationEngine::BuildOutageSchedule() {
 
 void SimulationEngine::ResolveHistoryChannels() {
   if (!options_.record_history) return;
-  hist_.it_power = &recorder_.Mutable("it_power_kw");
-  hist_.loss = &recorder_.Mutable("loss_kw");
-  hist_.power = &recorder_.Mutable("power_kw");
-  hist_.utilization = &recorder_.Mutable("utilization");
-  hist_.queue_len = &recorder_.Mutable("queue_length");
-  hist_.running = &recorder_.Mutable("running_jobs");
+  TimeSeriesRecorder& recorder = state_.recorder;
+  hist_.it_power = &recorder.Mutable("it_power_kw");
+  hist_.loss = &recorder.Mutable("loss_kw");
+  hist_.power = &recorder.Mutable("power_kw");
+  hist_.utilization = &recorder.Mutable("utilization");
+  hist_.queue_len = &recorder.Mutable("queue_length");
+  hist_.running = &recorder.Mutable("running_jobs");
   if (options_.power_cap_w > 0.0 || !options_.grid.dr_windows.empty()) {
-    hist_.throttle = &recorder_.Mutable("throttle_factor");
+    hist_.throttle = &recorder.Mutable("throttle_factor");
   }
-  if (grid_cost_on_) hist_.price = &recorder_.Mutable("price_usd_per_kwh");
-  if (grid_co2_on_) hist_.carbon = &recorder_.Mutable("carbon_kg_per_kwh");
+  if (grid_cost_on_) hist_.price = &recorder.Mutable("price_usd_per_kwh");
+  if (grid_co2_on_) hist_.carbon = &recorder.Mutable("carbon_kg_per_kwh");
   if (options_.enable_cooling) {
-    hist_.pue = &recorder_.Mutable("pue");
-    hist_.tower = &recorder_.Mutable("tower_return_c");
-    hist_.supply = &recorder_.Mutable("supply_c");
-    hist_.cooling_kw = &recorder_.Mutable("cooling_kw");
+    hist_.pue = &recorder.Mutable("pue");
+    hist_.tower = &recorder.Mutable("tower_return_c");
+    hist_.supply = &recorder.Mutable("supply_c");
+    hist_.cooling_kw = &recorder.Mutable("cooling_kw");
   }
   if (scheduler_->WantsPowerStates()) {
-    hist_.nodes_asleep = &recorder_.Mutable("nodes_asleep");
-    hist_.avg_freq = &recorder_.Mutable("avg_freq_scale");
+    hist_.nodes_asleep = &recorder.Mutable("nodes_asleep");
+    hist_.avg_freq = &recorder.Mutable("avg_freq_scale");
   }
   if (hr_matrix_) {
-    hist_.max_inlet = &recorder_.Mutable("max_inlet_c");
-    hist_.thermal_leak = &recorder_.Mutable("thermal_leak_kw");
+    hist_.max_inlet = &recorder.Mutable("max_inlet_c");
+    hist_.thermal_leak = &recorder.Mutable("thermal_leak_kw");
     hist_.rack_inlet.clear();
     for (int r = 0; r < hr_matrix_->racks(); ++r) {
       hist_.rack_inlet.push_back(
-          &recorder_.Mutable("rack" + std::to_string(r) + "_inlet_c"));
+          &recorder.Mutable("rack" + std::to_string(r) + "_inlet_c"));
     }
-    if (multi_cooling_) hist_.cdu_spread = &recorder_.Mutable("cdu_spread_c");
+    if (state_.multi_cooling) hist_.cdu_spread = &recorder.Mutable("cdu_spread_c");
   }
   if (transient_on_) {
     hist_.rack_transient.clear();
     for (int r = 0; r < hr_matrix_->racks(); ++r) {
       hist_.rack_transient.push_back(
-          &recorder_.Mutable("rack" + std::to_string(r) + "_transient_c"));
+          &recorder.Mutable("rack" + std::to_string(r) + "_transient_c"));
     }
-    if (crac_on_) hist_.crac_supply = &recorder_.Mutable("crac_supply_c");
-    if (trip_on_) hist_.tripped_nodes = &recorder_.Mutable("tripped_nodes");
+    if (crac_on_) hist_.crac_supply = &recorder.Mutable("crac_supply_c");
+    if (trip_on_) hist_.tripped_nodes = &recorder.Mutable("tripped_nodes");
   }
   // Every channel gets exactly one sample per tick; one upfront reserve
   // keeps the hot-loop appends reallocation-free.
@@ -404,62 +302,106 @@ void SimulationEngine::SetupTransientThermal() {
   rack_mean_c_.assign(racks, supply_base_c_);
 }
 
-void SimulationEngine::Initialize() {
-  now_ = options_.sim_start;
-  job_energy_j_.assign(jobs_.size(), std::nan(""));
-
+void SimulationEngine::AdoptState() {
+  if (!options_.enable_cooling || hr_matrix_) state_.cooling.reset();
+  if (!options_.enable_cooling || !hr_matrix_) state_.multi_cooling.reset();
   if (hr_matrix_) {
-    // No heat has been integrated yet: every inlet sits at the supply
-    // setpoint until the first span publishes real temperatures.
-    node_inlet_c_.assign(config_.TotalNodes(), config_.cooling.supply_temp_c);
+    if (state_.node_inlet_c.empty()) {
+      // No heat has been integrated yet (a fresh engine, or a pre-thermal
+      // snapshot on a thermal config): every inlet sits at the supply
+      // setpoint until the first span publishes real temperatures.
+      state_.node_inlet_c.assign(config_.TotalNodes(), config_.cooling.supply_temp_c);
+    }
     class_idle_heat_w_.clear();
     for (const MachineClassSpec& m : config_.machines) {
       class_idle_heat_w_.push_back(m.node_power.IdleW());
     }
   }
+  SetupTransientThermal();
   if (transient_on_) {
     const auto racks = static_cast<std::size_t>(hr_matrix_->racks());
-    rack_temp_c_.assign(racks, supply_base_c_);
-    crac_supply_c_ = supply_base_c_;
-    rack_class_tripped_.assign(racks * config_.machines.size(), 0);
+    const std::size_t classes = config_.machines.size();
+    if (state_.rack_temp_c.empty()) {
+      // A fresh engine, or a pre-transient snapshot on a transient config:
+      // start from the base supply.
+      state_.rack_temp_c.assign(racks, supply_base_c_);
+      state_.crac_supply_c = supply_base_c_;
+    }
+    if (state_.rack_class_tripped.empty()) {
+      state_.rack_class_tripped.assign(racks * classes, 0);
+    }
+    // The tripped-node total is derived; rebuild it from the flags.
     tripped_node_count_ = 0;
-    thermal_event_pending_ = false;
+    for (std::size_t i = 0; i < state_.rack_class_tripped.size(); ++i) {
+      if (state_.rack_class_tripped[i]) tripped_node_count_ += rack_class_nodes_[i];
+    }
+  } else {
+    state_.rack_temp_c.clear();
+    state_.rack_class_tripped.clear();
+    state_.crac_supply_c = 0.0;
+    state_.thermal_event_pending = false;
   }
-
-  node_pstate_.assign(config_.TotalNodes(), 0);
-  node_mode_.assign(config_.TotalNodes(), NodePowerMode::kActive);
-  class_c_idle_.assign(config_.machines.size(), 0);
-  class_s_sleep_.assign(config_.machines.size(), 0);
-  class_energy_j_.assign(config_.machines.size(), 0.0);
-  class_energy_on_ = scheduler_->WantsPowerStates();
-  if (class_energy_on_) {
-    std::vector<std::string> names;
-    names.reserve(config_.machines.size());
-    for (const MachineClassSpec& m : config_.machines) names.push_back(m.name);
-    stats_.SetClassNames(std::move(names));
-  }
-
+  BuildOutageSchedule();
   grid_cost_on_ = !options_.grid.price_usd_per_kwh.empty();
   grid_co2_on_ = !options_.grid.carbon_kg_per_kwh.empty();
   // Every time the effective cap, price, or carbon intensity can change
   // becomes an event: the calendar may not batch across one, and crossing
   // one marks the tick eventful so grid-reactive schedulers re-run.
   grid_events_ = options_.grid.BoundariesIn(options_.sim_start, options_.sim_end);
-
+  if (state_.next_grid_event > grid_events_.size()) {
+    throw std::invalid_argument("SimulationEngine::Restore: grid-event cursor " +
+                                std::to_string(state_.next_grid_event) +
+                                " outside the options' boundary schedule (" +
+                                std::to_string(grid_events_.size()) + " entries)");
+  }
+  // Power-state vectors: fill what a fresh engine or a pre-power-state
+  // snapshot lacks, then rebuild the derived per-class counters.
+  const auto total = static_cast<std::size_t>(config_.TotalNodes());
+  if (state_.node_pstate.empty()) state_.node_pstate.assign(total, 0);
+  if (state_.node_mode.empty()) state_.node_mode.assign(total, NodePowerMode::kActive);
+  if (state_.class_energy_j.empty()) {
+    state_.class_energy_j.assign(config_.machines.size(), 0.0);
+  }
+  class_c_idle_.assign(config_.machines.size(), 0);
+  class_s_sleep_.assign(config_.machines.size(), 0);
+  nonzero_pstate_nodes_ = 0;
+  waking_nodes_ = 0;
+  for (int n = 0; n < config_.TotalNodes(); ++n) {
+    if (state_.node_pstate[n] != 0) ++nonzero_pstate_nodes_;
+    switch (state_.node_mode[n]) {
+      case NodePowerMode::kCIdle: ++class_c_idle_[config_.ClassOf(n)]; break;
+      case NodePowerMode::kSSleep: ++class_s_sleep_[config_.ClassOf(n)]; break;
+      case NodePowerMode::kWaking: ++waking_nodes_; break;
+      case NodePowerMode::kActive: break;
+    }
+  }
+  class_energy_on_ = scheduler_->WantsPowerStates();
+  if (class_energy_on_ && !state_.stats.has_class_energy()) {
+    std::vector<std::string> names;
+    names.reserve(config_.machines.size());
+    for (const MachineClassSpec& m : config_.machines) names.push_back(m.name);
+    state_.stats.SetClassNames(std::move(names));
+    state_.stats.SetClassEnergy(state_.class_energy_j);
+  }
   ResolveHistoryChannels();
-  BuildOutageSchedule();
+}
+
+void SimulationEngine::Initialize() {
+  state_.now = options_.sim_start;
+  state_.job_energy_j.assign(state_.jobs.size(), std::nan(""));
+  AdoptState();
 
   // Window semantics (§3.2.2 / Fig. 3): dismiss jobs entirely outside the
   // simulated window, and jobs too large for the machine.
-  for (std::size_t h = 0; h < jobs_.size(); ++h) {
-    Job& job = jobs_[h];
+  for (std::size_t h = 0; h < state_.jobs.size(); ++h) {
+    Job& job = state_.jobs[h];
     const bool ended_before_window =
         job.recorded_end >= 0 && job.recorded_end <= options_.sim_start;
     const bool submitted_after_window = job.submit_time >= options_.sim_end;
-    const bool oversize = job.nodes_required > rm_.total_nodes();
+    const bool oversize = job.nodes_required > state_.rm->total_nodes();
     if (ended_before_window || submitted_after_window || oversize) {
       job.state = JobState::kDismissed;
-      ++counters_.dismissed;
+      ++state_.counters.dismissed;
       continue;
     }
     // Flag head/tail truncation relative to the window (footnote 1): no
@@ -475,14 +417,14 @@ void SimulationEngine::Initialize() {
   if (options_.prepopulate) Prepopulate();
 
   // Remaining pending jobs enter by submit order.
-  for (std::size_t h = 0; h < jobs_.size(); ++h) {
-    if (jobs_[h].state == JobState::kPending) submit_order_.push_back(h);
+  for (std::size_t h = 0; h < state_.jobs.size(); ++h) {
+    if (state_.jobs[h].state == JobState::kPending) state_.submit_order.push_back(h);
   }
-  std::stable_sort(submit_order_.begin(), submit_order_.end(),
+  std::stable_sort(state_.submit_order.begin(), state_.submit_order.end(),
                    [&](JobQueue::Handle a, JobQueue::Handle b) {
-                     return jobs_[a].submit_time < jobs_[b].submit_time;
+                     return state_.jobs[a].submit_time < state_.jobs[b].submit_time;
                    });
-  next_submit_ = 0;
+  state_.next_submit = 0;
   initialized_ = true;
 }
 
@@ -490,8 +432,8 @@ void SimulationEngine::Prepopulate() {
   // Jobs running at sim_start are placed immediately so the twin starts in
   // the observed machine state rather than empty.  Their starts keep the
   // recorded value (so trace offsets line up) and they run to recorded_end.
-  for (std::size_t h = 0; h < jobs_.size(); ++h) {
-    Job& job = jobs_[h];
+  for (std::size_t h = 0; h < state_.jobs.size(); ++h) {
+    Job& job = state_.jobs[h];
     if (job.state != JobState::kPending) continue;
     if (job.recorded_start < 0 || job.recorded_end < 0) continue;
     if (job.recorded_start >= options_.sim_start) continue;
@@ -500,34 +442,34 @@ void SimulationEngine::Prepopulate() {
     if (job.HasRecordedPlacement()) {
       bool ok = true;
       for (int n : job.recorded_nodes) {
-        if (!rm_.IsFree(n)) {
+        if (!state_.rm->IsFree(n)) {
           ok = false;
           break;
         }
       }
       if (ok) {
-        rm_.AllocateExact(job.recorded_nodes);
+        state_.rm->AllocateExact(job.recorded_nodes);
         nodes = job.recorded_nodes;
       }
     }
     if (nodes.empty()) {
-      if (!rm_.CanAllocate(job.nodes_required)) {
+      if (!state_.rm->CanAllocate(job.nodes_required)) {
         SRAPS_LOG_WARN << "prepopulate: no room for job " << job.id << " ("
                        << job.nodes_required << " nodes); dismissing";
         job.state = JobState::kDismissed;
-        ++counters_.dismissed;
+        ++state_.counters.dismissed;
         continue;
       }
-      nodes = rm_.Allocate(job.nodes_required);
+      nodes = state_.rm->Allocate(job.nodes_required);
     }
     job.assigned_nodes = std::move(nodes);
     job.start = job.recorded_start;
     job.end = job.recorded_end;
     job.state = JobState::kRunning;
-    job_energy_j_[h] = 0.0;
-    running_.push_back(h);
+    state_.job_energy_j[h] = 0.0;
+    state_.running.push_back(h);
     PushCompletion(job.end, h);
-    ++counters_.prepopulated;
+    ++state_.counters.prepopulated;
     scheduler_->OnJobStarted(job);
   }
 }
@@ -545,53 +487,53 @@ SimDuration SimulationEngine::RealizedRuntime(const Job& job) const {
 }
 
 void SimulationEngine::ApplyOutages() {
-  while (next_outage_begin_ < outage_begins_.size() &&
-         outage_begins_[next_outage_begin_].first <= now_) {
+  while (state_.next_outage_begin < outage_begins_.size() &&
+         outage_begins_[state_.next_outage_begin].first <= state_.now) {
     // A sleeping or mid-wake node hit by an outage is force-woken first so
     // MarkDown sees a free node and takes it straight out of service (its
     // pending wake event, if any, goes stale and is dropped lazily).
-    for (int n : outage_begins_[next_outage_begin_].second) {
-      if (!rm_.IsAsleep(n)) continue;
-      rm_.MarkAwake(n);
-      switch (node_mode_[n]) {
+    for (int n : outage_begins_[state_.next_outage_begin].second) {
+      if (!state_.rm->IsAsleep(n)) continue;
+      state_.rm->MarkAwake(n);
+      switch (state_.node_mode[n]) {
         case NodePowerMode::kCIdle: --class_c_idle_[config_.ClassOf(n)]; break;
         case NodePowerMode::kSSleep: --class_s_sleep_[config_.ClassOf(n)]; break;
         case NodePowerMode::kWaking: --waking_nodes_; break;
         case NodePowerMode::kActive: break;
       }
-      node_mode_[n] = NodePowerMode::kActive;
+      state_.node_mode[n] = NodePowerMode::kActive;
     }
-    rm_.MarkDown(outage_begins_[next_outage_begin_].second);
-    ++next_outage_begin_;
-    events_this_tick_ = true;
+    state_.rm->MarkDown(outage_begins_[state_.next_outage_begin].second);
+    ++state_.next_outage_begin;
+    state_.events_this_tick = true;
   }
-  while (next_outage_end_ < outage_ends_.size() &&
-         outage_ends_[next_outage_end_].first <= now_) {
+  while (state_.next_outage_end < outage_ends_.size() &&
+         outage_ends_[state_.next_outage_end].first <= state_.now) {
     // Overlapping outage windows may already have recovered a node; only
     // bring back what is actually out of service.
     std::vector<int> to_recover;
-    for (int n : outage_ends_[next_outage_end_].second) {
-      if (rm_.IsDown(n) || rm_.IsPendingDown(n)) to_recover.push_back(n);
+    for (int n : outage_ends_[state_.next_outage_end].second) {
+      if (state_.rm->IsDown(n) || state_.rm->IsPendingDown(n)) to_recover.push_back(n);
     }
-    if (!to_recover.empty()) rm_.MarkUp(to_recover);
-    ++next_outage_end_;
-    events_this_tick_ = true;
+    if (!to_recover.empty()) state_.rm->MarkUp(to_recover);
+    ++state_.next_outage_end;
+    state_.events_this_tick = true;
   }
 }
 
 void SimulationEngine::ApplyGridEvents() {
-  while (next_grid_event_ < grid_events_.size() &&
-         grid_events_[next_grid_event_] <= now_) {
-    ++next_grid_event_;
-    ++counters_.grid_events;
+  while (state_.next_grid_event < grid_events_.size() &&
+         grid_events_[state_.next_grid_event] <= state_.now) {
+    ++state_.next_grid_event;
+    ++state_.counters.grid_events;
     // A cap/price/carbon change is a system event: grid-reactive schedulers
     // (grid_aware holds jobs for cheap windows) must be re-invoked.
-    events_this_tick_ = true;
+    state_.events_this_tick = true;
   }
 }
 
 double SimulationEngine::EffectiveCapW() const {
-  return options_.grid.EffectiveCapW(now_, options_.power_cap_w);
+  return options_.grid.EffectiveCapW(state_.now, options_.power_cap_w);
 }
 
 bool SimulationEngine::SetNodePState(int node, int p) {
@@ -602,16 +544,16 @@ bool SimulationEngine::SetNodePState(int node, int p) {
   }
   const MachineClassSpec& cls = config_.MachineClassOf(node);
   if (p < 0 || p >= cls.NumPStates()) return false;
-  if (node_mode_[node] != NodePowerMode::kActive) return false;
-  if (rm_.IsDown(node)) return false;
-  if (node_pstate_[node] == static_cast<std::uint8_t>(p)) return false;
-  const bool was_zero = node_pstate_[node] == 0;
-  node_pstate_[node] = static_cast<std::uint8_t>(p);
+  if (state_.node_mode[node] != NodePowerMode::kActive) return false;
+  if (state_.rm->IsDown(node)) return false;
+  if (state_.node_pstate[node] == static_cast<std::uint8_t>(p)) return false;
+  const bool was_zero = state_.node_pstate[node] == 0;
+  state_.node_pstate[node] = static_cast<std::uint8_t>(p);
   if (was_zero && p != 0) ++nonzero_pstate_nodes_;
   if (!was_zero && p == 0) --nonzero_pstate_nodes_;
-  ++counters_.pstate_changes;
-  power_event_pending_ = true;
-  events_this_tick_ = true;
+  ++state_.counters.pstate_changes;
+  state_.power_event_pending = true;
+  state_.events_this_tick = true;
   return true;
 }
 
@@ -624,20 +566,20 @@ bool SimulationEngine::SleepNode(int node, bool deep) {
   const MachineClassSpec& cls = config_.MachineClassOf(node);
   const SleepStateSpec& state = deep ? cls.s_state : cls.c_state;
   if (!state.enabled) return false;
-  if (node_mode_[node] != NodePowerMode::kActive) return false;
-  if (!rm_.IsFree(node) || rm_.IsDown(node)) return false;
-  rm_.MarkAsleep(node);
+  if (state_.node_mode[node] != NodePowerMode::kActive) return false;
+  if (!state_.rm->IsFree(node) || state_.rm->IsDown(node)) return false;
+  state_.rm->MarkAsleep(node);
   const std::size_t c = config_.ClassOf(node);
   if (deep) {
-    node_mode_[node] = NodePowerMode::kSSleep;
+    state_.node_mode[node] = NodePowerMode::kSSleep;
     ++class_s_sleep_[c];
   } else {
-    node_mode_[node] = NodePowerMode::kCIdle;
+    state_.node_mode[node] = NodePowerMode::kCIdle;
     ++class_c_idle_[c];
   }
-  ++counters_.nodes_slept;
-  power_event_pending_ = true;
-  events_this_tick_ = true;
+  ++state_.counters.nodes_slept;
+  state_.power_event_pending = true;
+  state_.events_this_tick = true;
   return true;
 }
 
@@ -647,7 +589,7 @@ bool SimulationEngine::WakeNode(int node) {
                             std::to_string(node) + " outside [0, " +
                             std::to_string(config_.TotalNodes()) + ")");
   }
-  const NodePowerMode mode = node_mode_[node];
+  const NodePowerMode mode = state_.node_mode[node];
   if (mode != NodePowerMode::kCIdle && mode != NodePowerMode::kSSleep) return false;
   const MachineClassSpec& cls = config_.MachineClassOf(node);
   const bool deep = mode == NodePowerMode::kSSleep;
@@ -659,20 +601,21 @@ bool SimulationEngine::WakeNode(int node) {
   }
   const SimDuration latency = cls.WakeLatencyS(deep);
   if (latency <= 0) {
-    rm_.MarkAwake(node);
-    node_mode_[node] = NodePowerMode::kActive;
-    ++counters_.nodes_woken;
+    state_.rm->MarkAwake(node);
+    state_.node_mode[node] = NodePowerMode::kActive;
+    ++state_.counters.nodes_woken;
   } else {
     // During the transition the node draws active idle but stays
     // unallocatable; the wake event completes it (a calendar event, so the
     // batched path cannot hop across the latency).
-    node_mode_[node] = NodePowerMode::kWaking;
+    state_.node_mode[node] = NodePowerMode::kWaking;
     ++waking_nodes_;
-    wake_events_.emplace_back(now_ + latency, node);
-    std::push_heap(wake_events_.begin(), wake_events_.end(), std::greater<>{});
+    state_.wake_events.emplace_back(state_.now + latency, node);
+    std::push_heap(state_.wake_events.begin(), state_.wake_events.end(),
+                   std::greater<>{});
   }
-  power_event_pending_ = true;
-  events_this_tick_ = true;
+  state_.power_event_pending = true;
+  state_.events_this_tick = true;
   return true;
 }
 
@@ -682,7 +625,7 @@ int SimulationEngine::NodePState(int node) const {
                             std::to_string(node) + " outside [0, " +
                             std::to_string(config_.TotalNodes()) + ")");
   }
-  return node_pstate_[node];
+  return state_.node_pstate[node];
 }
 
 NodePowerMode SimulationEngine::NodeMode(int node) const {
@@ -691,7 +634,7 @@ NodePowerMode SimulationEngine::NodeMode(int node) const {
                             std::to_string(node) + " outside [0, " +
                             std::to_string(config_.TotalNodes()) + ")");
   }
-  return node_mode_[node];
+  return state_.node_mode[node];
 }
 
 int SimulationEngine::nodes_asleep() const {
@@ -702,46 +645,46 @@ int SimulationEngine::nodes_asleep() const {
 }
 
 void SimulationEngine::ApplyWakeEvents() {
-  while (!wake_events_.empty() && wake_events_.front().first <= now_) {
-    const int node = wake_events_.front().second;
-    std::pop_heap(wake_events_.begin(), wake_events_.end(), std::greater<>{});
-    wake_events_.pop_back();
+  while (!state_.wake_events.empty() && state_.wake_events.front().first <= state_.now) {
+    const int node = state_.wake_events.front().second;
+    std::pop_heap(state_.wake_events.begin(), state_.wake_events.end(), std::greater<>{});
+    state_.wake_events.pop_back();
     // Stale entries (the node was force-woken by an outage, or went down
     // mid-wake) are simply dropped.
-    if (node_mode_[node] != NodePowerMode::kWaking) continue;
-    rm_.MarkAwake(node);
-    node_mode_[node] = NodePowerMode::kActive;
+    if (state_.node_mode[node] != NodePowerMode::kWaking) continue;
+    state_.rm->MarkAwake(node);
+    state_.node_mode[node] = NodePowerMode::kActive;
     --waking_nodes_;
-    ++counters_.nodes_woken;
-    events_this_tick_ = true;
+    ++state_.counters.nodes_woken;
+    state_.events_this_tick = true;
   }
 }
 
 void SimulationEngine::FillPowerContext(SchedulerContext& ctx) {
   ctx.config = &config_;
-  ctx.node_pstate = &node_pstate_;
-  ctx.node_mode = &node_mode_;
+  ctx.node_pstate = &state_.node_pstate;
+  ctx.node_mode = &state_.node_mode;
   ctx.effective_cap_w = EffectiveCapW();
-  ctx.last_wall_power_w = last_wall_power_w_;
-  ctx.last_busy_power_w = last_busy_power_w_;
+  ctx.last_wall_power_w = state_.last_wall_power_w;
+  ctx.last_busy_power_w = state_.last_busy_power_w;
   if (hr_matrix_) {
     ctx.hr_matrix = hr_matrix_.get();
-    ctx.node_inlet_c = &node_inlet_c_;
+    ctx.node_inlet_c = &state_.node_inlet_c;
     ctx.supply_temp_c = config_.cooling.supply_temp_c;
   }
 }
 
 void SimulationEngine::CallPowerPlan() {
   if (!scheduler_->WantsPowerStates()) return;
-  if (options_.event_triggered_scheduling && !events_this_tick_) return;
+  if (options_.event_triggered_scheduling && !state_.events_this_tick) return;
   SchedulerContext ctx;
-  ctx.now = now_;
-  ctx.jobs = &jobs_;
-  ctx.queue = &queue_;
-  ctx.rm = &rm_;
-  ctx.had_events = events_this_tick_;
+  ctx.now = state_.now;
+  ctx.jobs = &state_.jobs;
+  ctx.queue = &state_.queue;
+  ctx.rm = &*state_.rm;
+  ctx.had_events = state_.events_this_tick;
   FillPowerContext(ctx);
-  ++counters_.power_plan_invocations;
+  ++state_.counters.power_plan_invocations;
   const std::vector<PowerAction> actions = scheduler_->PlanPowerStates(ctx);
   for (const PowerAction& a : actions) {
     // Actions are proposals; anything stale (node went down, a job landed on
@@ -756,27 +699,27 @@ void SimulationEngine::CallPowerPlan() {
 }
 
 void SimulationEngine::PushCompletion(SimTime end, JobQueue::Handle h) {
-  completions_.emplace_back(end, h);
-  std::push_heap(completions_.begin(), completions_.end(), std::greater<>{});
+  state_.completions.emplace_back(end, h);
+  std::push_heap(state_.completions.begin(), state_.completions.end(), std::greater<>{});
 }
 
 void SimulationEngine::PopCompletion() {
-  std::pop_heap(completions_.begin(), completions_.end(), std::greater<>{});
-  completions_.pop_back();
+  std::pop_heap(state_.completions.begin(), state_.completions.end(), std::greater<>{});
+  state_.completions.pop_back();
 }
 
 SimTime SimulationEngine::NextCompletionTime() {
-  while (!completions_.empty()) {
-    const auto [end, h] = completions_.front();
-    if (jobs_[h].state != JobState::kRunning) {
+  while (!state_.completions.empty()) {
+    const auto [end, h] = state_.completions.front();
+    if (state_.jobs[h].state != JobState::kRunning) {
       PopCompletion();  // completed via an earlier sweep; entry is dead
       continue;
     }
-    if (jobs_[h].end != end) {
+    if (state_.jobs[h].end != end) {
       // Stale key: power-cap throttling dilated this job after the push.
       // Dilation only moves ends later, so re-keying on pop is safe.
       PopCompletion();
-      PushCompletion(jobs_[h].end, h);
+      PushCompletion(state_.jobs[h].end, h);
       continue;
     }
     return end;
@@ -788,62 +731,62 @@ void SimulationEngine::ClearCompleted() {
   // Step (1): release finished jobs *before* scheduling so a node can end
   // one job and start another within the same time step.  The heap top
   // bounds every running end from below, so the linear sweep (which keeps
-  // running_ in start order for deterministic power summation) only runs on
-  // steps where at least one job actually finishes.
-  if (NextCompletionTime() > now_) return;
+  // the running list in start order for deterministic power summation) only
+  // runs on steps where at least one job actually finishes.
+  if (NextCompletionTime() > state_.now) return;
   std::vector<JobQueue::Handle> still_running;
-  still_running.reserve(running_.size());
-  for (JobQueue::Handle h : running_) {
-    if (jobs_[h].end <= now_) {
+  still_running.reserve(state_.running.size());
+  for (JobQueue::Handle h : state_.running) {
+    if (state_.jobs[h].end <= state_.now) {
       CompleteJob(h);
-      events_this_tick_ = true;
+      state_.events_this_tick = true;
     } else {
       still_running.push_back(h);
     }
   }
-  running_.swap(still_running);
+  state_.running.swap(still_running);
 }
 
 void SimulationEngine::CompleteJob(JobQueue::Handle h) {
-  Job& job = jobs_[h];
-  rm_.Release(job.assigned_nodes);
+  Job& job = state_.jobs[h];
+  state_.rm->Release(job.assigned_nodes);
   job.state = JobState::kCompleted;
-  ++counters_.completed;
-  const double energy = job_energy_j_[h];
-  stats_.RecordCompletion(job, energy);
-  if (options_.track_accounts) accounts_.RecordCompletion(job, energy);
+  ++state_.counters.completed;
+  const double energy = state_.job_energy_j[h];
+  state_.stats.RecordCompletion(job, energy);
+  if (options_.track_accounts) state_.accounts.RecordCompletion(job, energy);
   scheduler_->OnJobCompleted(job);
 }
 
 void SimulationEngine::EnqueueEligible() {
   // Step (2): the twin observes jobs as they are submitted; nothing enters
   // the queue early, so schedules cannot be precomputed.
-  while (next_submit_ < submit_order_.size()) {
-    const JobQueue::Handle h = submit_order_[next_submit_];
-    Job& job = jobs_[h];
-    if (job.submit_time > now_) break;
-    ++next_submit_;
+  while (state_.next_submit < state_.submit_order.size()) {
+    const JobQueue::Handle h = state_.submit_order[state_.next_submit];
+    Job& job = state_.jobs[h];
+    if (job.submit_time > state_.now) break;
+    ++state_.next_submit;
     job.state = JobState::kQueued;
-    queue_.Push(h);
-    ++counters_.submitted;
-    events_this_tick_ = true;
+    state_.queue.Push(h);
+    ++state_.counters.submitted;
+    state_.events_this_tick = true;
     scheduler_->OnJobSubmitted(job);
   }
 }
 
 void SimulationEngine::CallSchedule() {
   // Step (3).
-  if (options_.event_triggered_scheduling && !events_this_tick_ && !queue_.empty() &&
-      !scheduler_->NeedsTimeTriggered()) {
-    ++counters_.scheduler_skips;
+  if (options_.event_triggered_scheduling && !state_.events_this_tick &&
+      !state_.queue.empty() && !scheduler_->NeedsTimeTriggered()) {
+    ++state_.counters.scheduler_skips;
     return;
   }
-  if (queue_.empty()) return;
+  if (state_.queue.empty()) return;
 
   std::vector<RunningJobView> running_view;
-  running_view.reserve(running_.size());
-  for (JobQueue::Handle h : running_) {
-    const Job& job = jobs_[h];
+  running_view.reserve(state_.running.size());
+  for (JobQueue::Handle h : state_.running) {
+    const Job& job = state_.jobs[h];
     SimDuration estimate;
     if (job.time_limit > 0) {
       estimate = job.time_limit;
@@ -855,23 +798,23 @@ void SimulationEngine::CallSchedule() {
   }
 
   SchedulerContext ctx;
-  ctx.now = now_;
-  ctx.jobs = &jobs_;
-  ctx.queue = &queue_;
-  ctx.rm = &rm_;
+  ctx.now = state_.now;
+  ctx.jobs = &state_.jobs;
+  ctx.queue = &state_.queue;
+  ctx.rm = &*state_.rm;
   ctx.running = &running_view;
-  ctx.had_events = events_this_tick_;
+  ctx.had_events = state_.events_this_tick;
   FillPowerContext(ctx);
-  ++counters_.scheduler_invocations;
+  ++state_.counters.scheduler_invocations;
   const std::vector<Placement> placements = scheduler_->Schedule(ctx);
 
   for (const Placement& p : placements) {
-    if (p.handle >= jobs_.size()) {
+    if (p.handle >= state_.jobs.size()) {
       throw std::runtime_error("scheduler returned invalid handle");
     }
-    if (jobs_[p.handle].state != JobState::kQueued) {
+    if (state_.jobs[p.handle].state != JobState::kQueued) {
       throw std::runtime_error("scheduler placed job " +
-                               std::to_string(jobs_[p.handle].id) +
+                               std::to_string(state_.jobs[p.handle].id) +
                                " which is not queued");
     }
     StartJob(p.handle, p);
@@ -879,7 +822,7 @@ void SimulationEngine::CallSchedule() {
 }
 
 void SimulationEngine::StartJob(JobQueue::Handle h, const Placement& placement) {
-  Job& job = jobs_[h];
+  Job& job = state_.jobs[h];
   const std::vector<int>& exact_nodes = placement.nodes;
   std::vector<int> nodes;
   if (!exact_nodes.empty()) {
@@ -888,26 +831,26 @@ void SimulationEngine::StartJob(JobQueue::Handle h, const Placement& placement) 
                                std::to_string(exact_nodes.size()) + " nodes, requires " +
                                std::to_string(job.nodes_required));
     }
-    rm_.AllocateExact(exact_nodes);  // throws if the scheduler double-booked
+    state_.rm->AllocateExact(exact_nodes);  // throws if the scheduler double-booked
     nodes = exact_nodes;
   } else if (placement.score) {
-    nodes = rm_.AllocateScored(job.nodes_required, placement.score);
+    nodes = state_.rm->AllocateScored(job.nodes_required, placement.score);
   } else {
-    nodes = rm_.Allocate(job.nodes_required);
+    nodes = state_.rm->Allocate(job.nodes_required);
   }
   job.assigned_nodes = std::move(nodes);
-  job.start = now_;
-  if (placement.anchor_recorded_end && job.recorded_end > now_) {
+  job.start = state_.now;
+  if (placement.anchor_recorded_end && job.recorded_end > state_.now) {
     job.end = job.recorded_end;
   } else {
-    job.end = now_ + RealizedRuntime(job);
+    job.end = state_.now + RealizedRuntime(job);
   }
   job.state = JobState::kRunning;
-  job_energy_j_[h] = 0.0;
-  queue_.Remove(h);
-  running_.push_back(h);
+  state_.job_energy_j[h] = 0.0;
+  state_.queue.Remove(h);
+  state_.running.push_back(h);
   PushCompletion(job.end, h);
-  ++counters_.started;
+  ++state_.counters.started;
   scheduler_->OnJobStarted(job);
 }
 
@@ -932,7 +875,7 @@ SimDuration SimulationEngine::SpanTicks() {
   // A time-triggered scheduler (replay waits on recorded starts; external
   // simulators hold future reservations) may act on any tick while jobs are
   // queued — so may the per-tick scheduler when event triggering is off.
-  if (!queue_.empty() &&
+  if (!state_.queue.empty() &&
       (!options_.event_triggered_scheduling || scheduler_->NeedsTimeTriggered())) {
     return 1;
   }
@@ -941,42 +884,46 @@ SimDuration SimulationEngine::SpanTicks() {
     // calendar may not batch at all; a just-applied action makes the next
     // iteration eventful (re-plan), so it must be a single tick too.
     if (!options_.event_triggered_scheduling) return 1;
-    if (power_event_pending_) return 1;
+    if (state_.power_event_pending) return 1;
   }
   SimTime next = NextCompletionTime();
-  if (!wake_events_.empty()) next = std::min(next, wake_events_.front().first);
-  if (next_submit_ < submit_order_.size()) {
-    next = std::min(next, jobs_[submit_order_[next_submit_]].submit_time);
+  if (!state_.wake_events.empty()) {
+    next = std::min(next, state_.wake_events.front().first);
   }
-  if (next_outage_begin_ < outage_begins_.size()) {
-    next = std::min(next, outage_begins_[next_outage_begin_].first);
+  if (state_.next_submit < state_.submit_order.size()) {
+    const Job& job = state_.jobs[state_.submit_order[state_.next_submit]];
+    next = std::min(next, job.submit_time);
   }
-  if (next_outage_end_ < outage_ends_.size()) {
-    next = std::min(next, outage_ends_[next_outage_end_].first);
+  if (state_.next_outage_begin < outage_begins_.size()) {
+    next = std::min(next, outage_begins_[state_.next_outage_begin].first);
   }
-  if (next_grid_event_ < grid_events_.size()) {
+  if (state_.next_outage_end < outage_ends_.size()) {
+    next = std::min(next, outage_ends_[state_.next_outage_end].first);
+  }
+  if (state_.next_grid_event < grid_events_.size()) {
     // Cap / price / carbon boundaries: the effective cap and signal values
     // are provably constant on every tick short of the next one.
-    next = std::min(next, grid_events_[next_grid_event_]);
+    next = std::min(next, grid_events_[state_.next_grid_event]);
   }
   // RunUntilExact's limit: stop the hop exactly at the requested boundary.
   // Splitting the span is bit-identical for everything but the
   // calendar_steps/batched_ticks diagnostics (see RunUntilExact).
   if (span_limit_ < options_.sim_end) next = std::min(next, span_limit_);
-  // Every pending event lies strictly ahead (<= now_ was processed this
+  // Every pending event lies strictly ahead (<= now was processed this
   // step), and throttle dilation only moves completions later, so hopping to
   // the first tick at or past `next` can never skip over an event.
-  const SimDuration remaining = TicksToReach(now_, options_.sim_end, tick_);
+  const SimDuration remaining = TicksToReach(state_.now, options_.sim_end, tick_);
   SimDuration n = next == kNever
                       ? remaining
-                      : std::min(remaining, TicksToReach(now_, next, tick_));
+                      : std::min(remaining, TicksToReach(state_.now, next, tick_));
   // Bound the span by the next trace-sample boundary of any running job so
   // one power computation provably covers every tick in it (this is also
   // where an active power cap gets re-evaluated: throttle can only change
   // when sampled power does).
-  for (JobQueue::Handle h : running_) {
+  for (JobQueue::Handle h : state_.running) {
     if (n <= 1) break;
-    n = std::min(n, TicksUntilTraceChange(jobs_[h], now_ - jobs_[h].start));
+    const Job& job = state_.jobs[h];
+    n = std::min(n, TicksUntilTraceChange(job, state_.now - job.start));
   }
   return std::max<SimDuration>(1, n);
 }
@@ -1014,7 +961,7 @@ void SimulationEngine::ApplyThermalLayer(PowerSample& power, bool machine_idle) 
       }
       const int node = static_cast<int>(n);
       const MachineClassSpec& cls = config_.MachineClassOf(node);
-      switch (node_mode_[n]) {
+      switch (state_.node_mode[n]) {
         case NodePowerMode::kCIdle:
           node_heat_w_[n] = cls.SleepPowerW(false);
           break;
@@ -1086,8 +1033,8 @@ SimDuration SimulationEngine::TransientSpanBound(SimDuration n) {
   // execution agree bit for bit.
   if (n <= 1) return n;
   const TransientThermalSpec& ts = config_.cooling.transient;
-  pred_rack_c_ = rack_temp_c_;
-  double supply = crac_supply_c_;
+  pred_rack_c_ = state_.rack_temp_c;
+  double supply = state_.crac_supply_c;
   const std::size_t classes = config_.machines.size();
   for (SimDuration k = 1; k <= n; ++k) {
     TransientPhysicsTick(supply, pred_rack_c_);
@@ -1095,7 +1042,7 @@ SimDuration SimulationEngine::TransientSpanBound(SimDuration n) {
       for (std::size_t c = 0; c < classes; ++c) {
         const double trip_c = class_trip_c_[c];
         if (trip_c <= 0.0 || rack_class_nodes_[r * classes + c] == 0) continue;
-        const bool tripped = rack_class_tripped_[r * classes + c] != 0;
+        const bool tripped = state_.rack_class_tripped[r * classes + c] != 0;
         if (!tripped && pred_rack_c_[r] > trip_c) return k;
         if (tripped && pred_rack_c_[r] < trip_c - ts.clear_margin_c) return k;
       }
@@ -1108,21 +1055,21 @@ bool SimulationEngine::ApplyThermalFlips() {
   const TransientThermalSpec& ts = config_.cooling.transient;
   const std::size_t classes = config_.machines.size();
   bool flipped = false;
-  for (std::size_t r = 0; r < rack_temp_c_.size(); ++r) {
+  for (std::size_t r = 0; r < state_.rack_temp_c.size(); ++r) {
     for (std::size_t c = 0; c < classes; ++c) {
       const double trip_c = class_trip_c_[c];
       const std::size_t idx = r * classes + c;
       if (trip_c <= 0.0 || rack_class_nodes_[idx] == 0) continue;
-      if (!rack_class_tripped_[idx] && rack_temp_c_[r] > trip_c) {
-        rack_class_tripped_[idx] = 1;
+      if (!state_.rack_class_tripped[idx] && state_.rack_temp_c[r] > trip_c) {
+        state_.rack_class_tripped[idx] = 1;
         tripped_node_count_ += rack_class_nodes_[idx];
-        ++counters_.thermal_trips;
+        ++state_.counters.thermal_trips;
         flipped = true;
-      } else if (rack_class_tripped_[idx] &&
-                 rack_temp_c_[r] < trip_c - ts.clear_margin_c) {
-        rack_class_tripped_[idx] = 0;
+      } else if (state_.rack_class_tripped[idx] &&
+                 state_.rack_temp_c[r] < trip_c - ts.clear_margin_c) {
+        state_.rack_class_tripped[idx] = 0;
         tripped_node_count_ -= rack_class_nodes_[idx];
-        ++counters_.thermal_clears;
+        ++state_.counters.thermal_clears;
         flipped = true;
       }
     }
@@ -1134,7 +1081,7 @@ double SimulationEngine::JobTripFactor(const Job& job) const {
   const std::size_t classes = config_.machines.size();
   for (const int node : job.assigned_nodes) {
     const auto r = static_cast<std::size_t>(hr_matrix_->RackOf(node));
-    if (rack_class_tripped_[r * classes +
+    if (state_.rack_class_tripped[r * classes +
                             static_cast<std::size_t>(config_.ClassOf(node))]) {
       return config_.cooling.transient.trip_throttle;
     }
@@ -1160,24 +1107,24 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   const bool trips_active = trip_on_ && tripped_node_count_ > 0;
 
   PowerSample power;
-  const bool use_idle_cache = running_.empty() && !ps_active;
+  const bool use_idle_cache = state_.running.empty() && !ps_active;
   if (use_idle_cache) {
     // A fully idle machine draws a constant: every node at idle power.
     // P-states never stale the cache — they only scale busy dynamic power,
     // and this branch requires every node active at P0.
     if (!idle_sample_) {
       idle_sample_ = power_model_.Compute(
-          {}, now_, nullptr, nullptr, nullptr,
+          {}, state_.now, nullptr, nullptr, nullptr,
           class_energy_on_ ? &idle_class_w_ : nullptr);
     }
     power = *idle_sample_;
     job_power_scratch_.clear();
   } else {
     running_scratch_.clear();
-    running_scratch_.reserve(running_.size());
-    for (JobQueue::Handle h : running_) running_scratch_.push_back(&jobs_[h]);
-    const PowerStateView psv{&node_pstate_, &class_c_idle_, &class_s_sleep_};
-    power = power_model_.Compute(running_scratch_, now_, &job_power_scratch_,
+    running_scratch_.reserve(state_.running.size());
+    for (JobQueue::Handle h : state_.running) running_scratch_.push_back(&state_.jobs[h]);
+    const PowerStateView psv{&state_.node_pstate, &class_c_idle_, &class_s_sleep_};
+    power = power_model_.Compute(running_scratch_, state_.now, &job_power_scratch_,
                                  ps_active ? &psv : nullptr,
                                  ps_active ? &job_freq_scratch_ : nullptr,
                                  class_energy_on_ ? &class_w_scratch_ : nullptr,
@@ -1213,17 +1160,17 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   // flip a trip flag.  RC/CRAC state alone generates no events, so spans
   // stay unbounded when no trip temperature is configured.
   if (trip_on_) n = TransientSpanBound(n);
-  if (n > 1 && !queue_.empty()) {
+  if (n > 1 && !state_.queue.empty()) {
     // Ticks 2..n would each take CallSchedule's event-free skip branch.
-    counters_.scheduler_skips += static_cast<std::size_t>(n - 1);
+    state_.counters.scheduler_skips += static_cast<std::size_t>(n - 1);
   }
 
   // The *demand* the machine sampled this span (pre-cap, post-P-state): what
   // pace_to_cap reads to decide whether the ladder must step down to fit the
   // effective cap — by the time uniform throttling has clipped the draw, the
   // excess is invisible in the post-throttle wall power.
-  last_wall_power_w_ = power.wall_power_w;
-  last_busy_power_w_ = power.busy_power_w;
+  state_.last_wall_power_w = power.wall_power_w;
+  state_.last_busy_power_w = power.busy_power_w;
 
   // Demand watch (SetPowerWatch): record the first step whose pre-cap demand
   // would make a cap of threshold_w (or tighter) bind — the same comparison
@@ -1233,7 +1180,7 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   if (power_watch_threshold_w_ > 0.0 &&
       power_watch_tripped_at_ == std::numeric_limits<SimTime>::max() &&
       power.wall_power_w > power_watch_threshold_w_ && power.busy_power_w > 0.0) {
-    power_watch_tripped_at_ = now_;
+    power_watch_tripped_at_ = state_.now;
   }
 
   // Facility power cap: throttle all running jobs uniformly so the wall
@@ -1253,46 +1200,30 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     power.it_power_w -= shed;
     power.loss_w = power_model_.conversion().LossW(power.it_power_w);
     power.wall_power_w = power.it_power_w + power.loss_w;
-    // Runtime dilation: each tick only completes `throttle * dt` worth of
-    // work, so each job's end recedes by the missing dt*(1 - throttle) per
-    // tick (net progress per tick is then exactly throttle * dt).  The
-    // completion heap is not touched here; its keys are re-built lazily.
-    if (!ps_active && !trips_active) {
-      const auto extension =
-          static_cast<SimDuration>(std::llround(dt * (1.0 - throttle)));
-      for (JobQueue::Handle h : running_) jobs_[h].end += extension * n;
-    }
   }
-  if (ps_active && !trips_active) {
-    // With power states a job's net progress per tick is throttle * freq
-    // (the slowest rung across its nodes), so each job dilates by its own
-    // missing share.  A rung change is a power event bounding spans to one
-    // tick, so freq is constant across the span — same discipline as the
-    // cap.  freq == 1 and throttle == 1 reproduces the uncapped path
-    // exactly: no extension, ends untouched.
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-      const double freq = i < job_freq_scratch_.size() ? job_freq_scratch_[i] : 1.0;
-      const double eff = throttle * freq;
+  // Runtime dilation: each tick only completes `eff * dt` worth of work, so
+  // each job's end recedes by the missing dt*(1 - eff) per tick (net progress
+  // per tick is then exactly eff * dt).  eff = throttle * freq * trip:
+  //  - throttle, the uniform cap factor above;
+  //  - freq, the job's slowest P-state rung across its nodes (power states
+  //    only) — a rung change is a power event bounding spans to one tick, so
+  //    freq is span-constant like the cap;
+  //  - trip, the thermal-trip factor (duty-cycle semantics: a throttled node
+  //    keeps its sampled draw while its work slows, so wall power stays
+  //    span-constant and the cap / demand-watch reasoning above is untouched).
+  // An absent factor is an exact 1.0, and eff >= 1 extends nothing, so an
+  // unthrottled job's end is untouched.  Ends only move later, preserving the
+  // completion heap's lazy re-key invariant; the heap itself is not touched.
+  if (throttle < 1.0 || ps_active || trips_active) {
+    for (std::size_t i = 0; i < state_.running.size(); ++i) {
+      Job& job = state_.jobs[state_.running[i]];
+      const double freq =
+          ps_active && i < job_freq_scratch_.size() ? job_freq_scratch_[i] : 1.0;
+      const double trip = trips_active ? JobTripFactor(job) : 1.0;
+      const double eff = throttle * freq * trip;
       if (eff >= 1.0) continue;
       const auto ext = static_cast<SimDuration>(std::llround(dt * (1.0 - eff)));
-      jobs_[running_[i]].end += ext * n;
-    }
-  }
-  if (trips_active) {
-    // Thermal-trip dilation composes multiplicatively with the cap and
-    // P-state factors, exactly like freq composes with throttle above.
-    // Dilation only (duty-cycle semantics): a throttled node keeps its
-    // sampled draw while its work slows, so wall power stays span-constant
-    // and the cap / demand-watch reasoning above is untouched.  Ends only
-    // move later, preserving the completion heap's lazy re-key invariant.
-    for (std::size_t i = 0; i < running_.size(); ++i) {
-      const double freq = ps_active && i < job_freq_scratch_.size()
-                              ? job_freq_scratch_[i]
-                              : 1.0;
-      const double eff = throttle * freq * JobTripFactor(jobs_[running_[i]]);
-      if (eff >= 1.0) continue;
-      const auto ext = static_cast<SimDuration>(std::llround(dt * (1.0 - eff)));
-      jobs_[running_[i]].end += ext * n;
+      job.end += ext * n;
     }
   }
 
@@ -1300,11 +1231,11 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   // sampled.  The per-tick increment is constant, but the running sum must
   // reproduce the tick loop's repeated addition bit for bit, so it is added
   // n times rather than multiplied.
-  for (std::size_t i = 0; i < running_.size(); ++i) {
+  for (std::size_t i = 0; i < state_.running.size(); ++i) {
     const double increment = job_power_scratch_[i] * throttle * dt;
-    double acc = job_energy_j_[running_[i]];
+    double acc = state_.job_energy_j[state_.running[i]];
     for (SimDuration k = 0; k < n; ++k) acc += increment;
-    job_energy_j_[running_[i]] = acc;
+    state_.job_energy_j[state_.running[i]] = acc;
   }
 
   // Per-class IT energy breakdown (power-state schedulers only, so the
@@ -1313,13 +1244,13 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   if (class_energy_on_) {
     const std::vector<double>& class_w =
         use_idle_cache ? idle_class_w_ : class_w_scratch_;
-    for (std::size_t c = 0; c < class_energy_j_.size(); ++c) {
+    for (std::size_t c = 0; c < state_.class_energy_j.size(); ++c) {
       const double inc = class_w[c] * dt;
-      double acc = class_energy_j_[c];
+      double acc = state_.class_energy_j[c];
       for (SimDuration k = 0; k < n; ++k) acc += inc;
-      class_energy_j_[c] = acc;
+      state_.class_energy_j[c] = acc;
     }
-    stats_.SetClassEnergy(class_energy_j_);
+    state_.stats.SetClassEnergy(state_.class_energy_j);
   }
 
   // Grid accounting: wall energy priced at the signals in force now.  Signal
@@ -1327,54 +1258,55 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   // span and the per-tick increments repeat the tick loop's additions bit
   // for bit (same repeated-addition discipline as the job energy above).
   const double price_now =
-      grid_cost_on_ ? options_.grid.price_usd_per_kwh.At(now_) : 0.0;
+      grid_cost_on_ ? options_.grid.price_usd_per_kwh.At(state_.now) : 0.0;
   const double carbon_now =
-      grid_co2_on_ ? options_.grid.carbon_kg_per_kwh.At(now_) : 0.0;
-  if (!cooling_ && !multi_cooling_ &&
+      grid_co2_on_ ? options_.grid.carbon_kg_per_kwh.At(state_.now) : 0.0;
+  if (!state_.cooling && !state_.multi_cooling &&
       (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis)) {
     const double kwh_per_tick = power.wall_power_w * dt / 3.6e6;
     // Replay basis: the exact per-tick kWh the integration below multiplies
     // by the signal values, so ReplayGridAccounting can redo the same
     // additions under re-scaled signals bit for bit.
     if (options_.capture_grid_basis) {
-      tick_wall_kwh_.insert(tick_wall_kwh_.end(), static_cast<std::size_t>(n),
+      state_.tick_wall_kwh.insert(state_.tick_wall_kwh.end(), static_cast<std::size_t>(n),
                             kwh_per_tick);
     }
     const double cost_inc = kwh_per_tick * price_now;
     const double co2_inc = kwh_per_tick * carbon_now;
     if (grid_cost_on_ || grid_co2_on_) {
       for (SimDuration k = 0; k < n; ++k) {
-        grid_cost_usd_ += cost_inc;
-        grid_co2_kg_ += co2_inc;
+        state_.grid_cost_usd += cost_inc;
+        state_.grid_co2_kg += co2_inc;
       }
     }
   }
 
   if (options_.record_history) {
     const auto count = static_cast<std::size_t>(n);
-    hist_.it_power->AppendSpan(now_, tick_, count, power.it_power_w / 1000.0);
-    hist_.loss->AppendSpan(now_, tick_, count, power.loss_w / 1000.0);
-    if (!cooling_ && !multi_cooling_) {
-      hist_.power->AppendSpan(now_, tick_, count, power.wall_power_w / 1000.0);
+    hist_.it_power->AppendSpan(state_.now, tick_, count, power.it_power_w / 1000.0);
+    hist_.loss->AppendSpan(state_.now, tick_, count, power.loss_w / 1000.0);
+    if (!state_.cooling && !state_.multi_cooling) {
+      hist_.power->AppendSpan(state_.now, tick_, count, power.wall_power_w / 1000.0);
     }
-    hist_.utilization->AppendSpan(now_, tick_, count, power.node_utilization * 100.0);
-    hist_.queue_len->AppendSpan(now_, tick_, count,
-                                static_cast<double>(queue_.size()));
-    hist_.running->AppendSpan(now_, tick_, count,
-                              static_cast<double>(running_.size()));
+    hist_.utilization->AppendSpan(state_.now, tick_, count,
+                                  power.node_utilization * 100.0);
+    hist_.queue_len->AppendSpan(state_.now, tick_, count,
+                                static_cast<double>(state_.queue.size()));
+    hist_.running->AppendSpan(state_.now, tick_, count,
+                              static_cast<double>(state_.running.size()));
     if (hist_.throttle) {
-      hist_.throttle->AppendSpan(now_, tick_, count, throttle);
+      hist_.throttle->AppendSpan(state_.now, tick_, count, throttle);
     }
-    if (hist_.price) hist_.price->AppendSpan(now_, tick_, count, price_now);
-    if (hist_.carbon) hist_.carbon->AppendSpan(now_, tick_, count, carbon_now);
+    if (hist_.price) hist_.price->AppendSpan(state_.now, tick_, count, price_now);
+    if (hist_.carbon) hist_.carbon->AppendSpan(state_.now, tick_, count, carbon_now);
     if (hist_.nodes_asleep) {
       hist_.nodes_asleep->AppendSpan(
-          now_, tick_, count, static_cast<double>(sleeping_nodes + waking_nodes_));
+          state_.now, tick_, count, static_cast<double>(sleeping_nodes + waking_nodes_));
     }
     if (hist_.avg_freq) {
       const double avg =
           power.busy_nodes > 0 ? power.busy_freq_sum / power.busy_nodes : 1.0;
-      hist_.avg_freq->AppendSpan(now_, tick_, count, avg);
+      hist_.avg_freq->AppendSpan(state_.now, tick_, count, avg);
     }
     if (hist_.max_inlet) {
       // Inlet temperatures are span-constant (they are a pure function of
@@ -1382,33 +1314,33 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
       // like every other electrical channel.
       double max_inlet = config_.cooling.supply_temp_c;
       for (double t : inlet_scratch_) max_inlet = std::max(max_inlet, t);
-      hist_.max_inlet->AppendSpan(now_, tick_, count, max_inlet);
-      hist_.thermal_leak->AppendSpan(now_, tick_, count,
+      hist_.max_inlet->AppendSpan(state_.now, tick_, count, max_inlet);
+      hist_.thermal_leak->AppendSpan(state_.now, tick_, count,
                                      thermal_leak_w_ / 1000.0);
       for (std::size_t r = 0; r < hist_.rack_inlet.size(); ++r) {
-        hist_.rack_inlet[r]->AppendSpan(now_, tick_, count, rack_mean_c_[r]);
+        hist_.rack_inlet[r]->AppendSpan(state_.now, tick_, count, rack_mean_c_[r]);
       }
     }
   }
 
-  if (cooling_) {
+  if (state_.cooling) {
     // The loop's thermal state keeps its first-order lag even when the
     // electrical side is flat, so it (and the wall power that includes its
     // fans/pumps) advances tick by tick within the span — as does the grid
     // accounting, whose cost basis includes the cooling draw.
     for (SimDuration i = 0; i < n; ++i) {
-      const CoolingSample cool = cooling_->Step(power.it_power_w, power.loss_w, dt);
+      const CoolingSample cool = state_.cooling->Step(power.it_power_w, power.loss_w, dt);
       const double wall_w = power.wall_power_w + cool.cooling_power_w;
       if (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis) {
         const double kwh = wall_w * dt / 3.6e6;
-        if (options_.capture_grid_basis) tick_wall_kwh_.push_back(kwh);
+        if (options_.capture_grid_basis) state_.tick_wall_kwh.push_back(kwh);
         if (grid_cost_on_ || grid_co2_on_) {
-          grid_cost_usd_ += kwh * price_now;
-          grid_co2_kg_ += kwh * carbon_now;
+          state_.grid_cost_usd += kwh * price_now;
+          state_.grid_co2_kg += kwh * carbon_now;
         }
       }
       if (options_.record_history) {
-        const SimTime t = now_ + i * tick_;
+        const SimTime t = state_.now + i * tick_;
         hist_.power->Append(t, wall_w / 1000.0);
         hist_.pue->Append(t, cool.pue);
         hist_.tower->Append(t, cool.tower_return_temp_c);
@@ -1418,13 +1350,13 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     }
   }
 
-  if (multi_cooling_) {
+  if (state_.multi_cooling) {
     // Placement-dependent heat split: each node's throttled draw plus its
     // fan-leak share lands on its rack's CDU (rack r feeds CDU r % num_cdus).
     // The split is a pure function of span-constant quantities, so it is
     // computed once and the per-tick loop below only advances the loops'
     // first-order lags — mirroring the lumped-cooling branch above.
-    const int num_cdus = multi_cooling_->num_cdus();
+    const int num_cdus = state_.multi_cooling->num_cdus();
     per_cdu_heat_scratch_.assign(static_cast<std::size_t>(num_cdus), 0.0);
     const double supply = config_.cooling.supply_temp_c;
     const double fan_leak = config_.cooling.topology.fan_leak_w_per_k;
@@ -1440,18 +1372,18 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     }
     for (SimDuration i = 0; i < n; ++i) {
       const MultiCduSample mc =
-          multi_cooling_->Step(per_cdu_heat_scratch_, power.loss_w, dt);
+          state_.multi_cooling->Step(per_cdu_heat_scratch_, power.loss_w, dt);
       const double wall_w = power.wall_power_w + mc.facility.cooling_power_w;
       if (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis) {
         const double kwh = wall_w * dt / 3.6e6;
-        if (options_.capture_grid_basis) tick_wall_kwh_.push_back(kwh);
+        if (options_.capture_grid_basis) state_.tick_wall_kwh.push_back(kwh);
         if (grid_cost_on_ || grid_co2_on_) {
-          grid_cost_usd_ += kwh * price_now;
-          grid_co2_kg_ += kwh * carbon_now;
+          state_.grid_cost_usd += kwh * price_now;
+          state_.grid_co2_kg += kwh * carbon_now;
         }
       }
       if (options_.record_history) {
-        const SimTime t = now_ + i * tick_;
+        const SimTime t = state_.now + i * tick_;
         hist_.power->Append(t, wall_w / 1000.0);
         hist_.pue->Append(t, mc.facility.pue);
         hist_.tower->Append(t, mc.facility.tower_return_temp_c);
@@ -1470,14 +1402,14 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     // tick, so applying flips after each tick's physics reproduces the
     // tick-stepped order exactly.
     for (SimDuration i = 0; i < n; ++i) {
-      TransientPhysicsTick(crac_supply_c_, rack_temp_c_);
-      if (trip_on_ && ApplyThermalFlips()) thermal_event_pending_ = true;
+      TransientPhysicsTick(state_.crac_supply_c, state_.rack_temp_c);
+      if (trip_on_ && ApplyThermalFlips()) state_.thermal_event_pending = true;
       if (options_.record_history) {
-        const SimTime t = now_ + i * tick_;
-        for (std::size_t r = 0; r < rack_temp_c_.size(); ++r) {
-          hist_.rack_transient[r]->Append(t, rack_temp_c_[r]);
+        const SimTime t = state_.now + i * tick_;
+        for (std::size_t r = 0; r < state_.rack_temp_c.size(); ++r) {
+          hist_.rack_transient[r]->Append(t, state_.rack_temp_c[r]);
         }
-        if (hist_.crac_supply) hist_.crac_supply->Append(t, crac_supply_c_);
+        if (hist_.crac_supply) hist_.crac_supply->Append(t, state_.crac_supply_c);
         if (hist_.tripped_nodes) {
           hist_.tripped_nodes->Append(t, static_cast<double>(tripped_node_count_));
         }
@@ -1486,7 +1418,7 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   }
 
   if (grid_cost_on_ || grid_co2_on_) {
-    stats_.SetGridTotals(grid_cost_usd_, grid_co2_kg_);
+    state_.stats.SetGridTotals(state_.grid_cost_usd, state_.grid_co2_kg);
   }
 
   if (hr_matrix_) {
@@ -1494,42 +1426,42 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     // identity, like every other accumulator) and the run-wide hottest
     // inlet any node saw.
     const double leak_inc = thermal_leak_w_ * dt;
-    for (SimDuration k = 0; k < n; ++k) thermal_leak_j_ += leak_inc;
+    for (SimDuration k = 0; k < n; ++k) state_.thermal_leak_j += leak_inc;
     for (const double t : inlet_scratch_) {
-      peak_inlet_c_ = std::max(peak_inlet_c_, t);
+      state_.peak_inlet_c = std::max(state_.peak_inlet_c, t);
     }
-    stats_.SetThermalTotals(thermal_leak_j_, peak_inlet_c_);
+    state_.stats.SetThermalTotals(state_.thermal_leak_j, state_.peak_inlet_c);
   }
 
   // Publish this span's inlet temperatures for the next scheduling pass.
   // Scheduling only happens on event-bearing ticks, which bound calendar
   // spans, so tick and calendar modes publish (and read) the same values.
-  if (hr_matrix_) node_inlet_c_.swap(inlet_scratch_);
+  if (hr_matrix_) state_.node_inlet_c.swap(inlet_scratch_);
 
-  now_ += n * tick_;
-  events_this_tick_ = false;
+  state_.now += n * tick_;
+  state_.events_this_tick = false;
   return n;
 }
 
 bool SimulationEngine::StepOnce() {
   if (!initialized_) throw std::logic_error("SimulationEngine: not initialised");
-  if (now_ >= options_.sim_end) return false;
-  if (power_event_pending_) {
+  if (state_.now >= options_.sim_end) return false;
+  if (state_.power_event_pending) {
     // A power action applied last iteration is an event for this one, so
     // iterative planners (pace_to_cap's rung walk) observe its effect and
     // re-plan — in tick and calendar mode alike.
-    events_this_tick_ = true;
-    power_event_pending_ = false;
+    state_.events_this_tick = true;
+    state_.power_event_pending = false;
   }
-  if (thermal_event_pending_) {
+  if (state_.thermal_event_pending) {
     // A trip/clear edge at the end of the last span is an event for this
     // step: the scheduler observes the throttled (or recovered) nodes at the
     // same sim time in tick and calendar mode.
-    events_this_tick_ = true;
-    thermal_event_pending_ = false;
+    state_.events_this_tick = true;
+    state_.thermal_event_pending = false;
   }
-  const std::size_t started_before = counters_.started;
-  const std::size_t completed_before = counters_.completed;
+  const std::size_t started_before = state_.counters.started;
+  const std::size_t completed_before = state_.counters.completed;
   ClearCompleted();
   ApplyOutages();
   ApplyWakeEvents();
@@ -1537,21 +1469,21 @@ bool SimulationEngine::StepOnce() {
   EnqueueEligible();
   CallPowerPlan();
   CallSchedule();
-  if (class_energy_on_ && (counters_.started != started_before ||
-                           counters_.completed != completed_before)) {
+  if (class_energy_on_ && (state_.counters.started != started_before ||
+                           state_.counters.completed != completed_before)) {
     // A start or completion moved the IT demand; make the next tick an event
     // so the power planner re-plans against the post-change wall power (the
     // same way an applied power action forces a re-plan).  Identical in tick
     // and calendar mode: CallSchedule runs on the same ticks in both.
-    power_event_pending_ = true;
+    state_.power_event_pending = true;
   }
   if (options_.event_calendar) {
     const SimDuration n = SpanTicks();
-    ++counters_.calendar_steps;
+    ++state_.counters.calendar_steps;
     // AdvanceTicks may truncate the span (thermal-trip edges), so the
     // batching diagnostics count the ticks actually advanced.
     const SimDuration advanced = AdvanceTicks(n);
-    if (advanced > 1) counters_.batched_ticks += static_cast<std::size_t>(advanced);
+    if (advanced > 1) state_.counters.batched_ticks += static_cast<std::size_t>(advanced);
   } else {
     AdvanceTicks(1);
   }
@@ -1566,14 +1498,14 @@ void SimulationEngine::Run() {
 }
 
 void SimulationEngine::RunUntil(SimTime t) {
-  while (now_ < t && StepOnce()) {
+  while (state_.now < t && StepOnce()) {
   }
 }
 
 void SimulationEngine::RunUntilExact(SimTime t) {
   span_limit_ = t;
   const SimTime untripped = std::numeric_limits<SimTime>::max();
-  while (now_ < t && power_watch_tripped_at_ == untripped && StepOnce()) {
+  while (state_.now < t && power_watch_tripped_at_ == untripped && StepOnce()) {
   }
   span_limit_ = std::numeric_limits<SimTime>::max();
 }
@@ -1583,46 +1515,7 @@ void SimulationEngine::SetPowerWatch(double threshold_w) {
   power_watch_tripped_at_ = std::numeric_limits<SimTime>::max();
 }
 
-EngineState SimulationEngine::CaptureState() const {
-  EngineState s;
-  s.jobs = jobs_;
-  s.queue = queue_;
-  s.rm = rm_;
-  s.stats = stats_;
-  s.recorder = recorder_;
-  s.accounts = accounts_;
-  s.counters = counters_;
-  s.now = now_;
-  s.events_this_tick = events_this_tick_;
-  s.submit_order = submit_order_;
-  s.next_submit = next_submit_;
-  s.next_outage_begin = next_outage_begin_;
-  s.next_outage_end = next_outage_end_;
-  s.next_grid_event = next_grid_event_;
-  s.running = running_;
-  s.job_energy_j = job_energy_j_;
-  s.completions = completions_;
-  s.grid_cost_usd = grid_cost_usd_;
-  s.grid_co2_kg = grid_co2_kg_;
-  if (cooling_) s.cooling = *cooling_;
-  s.tick_wall_kwh = tick_wall_kwh_;
-  s.node_pstate = node_pstate_;
-  s.node_mode = node_mode_;
-  s.wake_events = wake_events_;
-  s.class_energy_j = class_energy_j_;
-  s.last_wall_power_w = last_wall_power_w_;
-  s.last_busy_power_w = last_busy_power_w_;
-  s.power_event_pending = power_event_pending_;
-  s.node_inlet_c = node_inlet_c_;
-  if (multi_cooling_) s.multi_cooling = *multi_cooling_;
-  s.thermal_leak_j = thermal_leak_j_;
-  s.peak_inlet_c = peak_inlet_c_;
-  s.rack_temp_c = rack_temp_c_;
-  s.crac_supply_c = crac_supply_c_;
-  s.rack_class_tripped = rack_class_tripped_;
-  s.thermal_event_pending = thermal_event_pending_;
-  return s;
-}
+EngineState SimulationEngine::CaptureState() const { return state_; }
 
 void SimulationEngine::ReplayGridAccounting() {
   if (!options_.capture_grid_basis) {
@@ -1630,38 +1523,38 @@ void SimulationEngine::ReplayGridAccounting() {
                            "not captured with capture_grid_basis");
   }
   const auto elapsed =
-      static_cast<std::size_t>((now_ - options_.sim_start) / tick_);
-  if (tick_wall_kwh_.size() != elapsed) {
+      static_cast<std::size_t>((state_.now - options_.sim_start) / tick_);
+  if (state_.tick_wall_kwh.size() != elapsed) {
     throw std::logic_error(
         "SimulationEngine::ReplayGridAccounting: basis covers " +
-        std::to_string(tick_wall_kwh_.size()) + " ticks, clock has advanced " +
+        std::to_string(state_.tick_wall_kwh.size()) + " ticks, clock has advanced " +
         std::to_string(elapsed));
   }
   for (Channel* ch : {hist_.price, hist_.carbon}) {
-    if (ch && ch->values.size() != tick_wall_kwh_.size()) {
+    if (ch && ch->values.size() != state_.tick_wall_kwh.size()) {
       throw std::logic_error("SimulationEngine::ReplayGridAccounting: recorded "
                              "signal channel and basis length disagree");
     }
   }
-  grid_cost_usd_ = 0.0;
-  grid_co2_kg_ = 0.0;
+  state_.grid_cost_usd = 0.0;
+  state_.grid_co2_kg = 0.0;
   // Same per-tick additions as AdvanceTicks, in the same order: within a
   // calendar span the stored kWh repeats and the signal value is constant
   // (boundaries bound spans), so kwh*price reproduces the span's cost_inc bit
   // for bit and the repeated additions match the batched loop's.
-  for (std::size_t k = 0; k < tick_wall_kwh_.size(); ++k) {
+  for (std::size_t k = 0; k < state_.tick_wall_kwh.size(); ++k) {
     const SimTime t = options_.sim_start + static_cast<SimDuration>(k) * tick_;
     const double price_now =
         grid_cost_on_ ? options_.grid.price_usd_per_kwh.At(t) : 0.0;
     const double carbon_now =
         grid_co2_on_ ? options_.grid.carbon_kg_per_kwh.At(t) : 0.0;
-    grid_cost_usd_ += tick_wall_kwh_[k] * price_now;
-    grid_co2_kg_ += tick_wall_kwh_[k] * carbon_now;
+    state_.grid_cost_usd += state_.tick_wall_kwh[k] * price_now;
+    state_.grid_co2_kg += state_.tick_wall_kwh[k] * carbon_now;
     if (hist_.price) hist_.price->values[k] = price_now;
     if (hist_.carbon) hist_.carbon->values[k] = carbon_now;
   }
   if (grid_cost_on_ || grid_co2_on_) {
-    stats_.SetGridTotals(grid_cost_usd_, grid_co2_kg_);
+    state_.stats.SetGridTotals(state_.grid_cost_usd, state_.grid_co2_kg);
   }
 }
 

@@ -24,6 +24,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -108,14 +109,17 @@ struct EngineCounters {
   std::size_t thermal_clears = 0;         ///< (rack, class) trip-clear edges
 };
 
-/// Deep copy of every mutable field of a SimulationEngine between steps —
-/// the engine-level payload of a SimStateSnapshot (core/snapshot.h).  The
-/// immutable parts (system config, options, power model, tick width) are NOT
-/// here; SimulationEngine::Restore reconstructs them from the config and
-/// options it is given, which is what allows a fork to resume under a
+/// Every mutable field of a SimulationEngine between steps.  The engine keeps
+/// its run state in exactly one of these, so SimulationEngine::CaptureState
+/// is a copy of it and SimulationEngine::Restore moves one in; it is also the
+/// engine-level payload of a SimStateSnapshot (core/snapshot.h).  The
+/// immutable parts (system config, options, power model, tick width) and the
+/// data derived from them are NOT here; Restore rebuilds them from the config
+/// and options it is given, which is what allows a fork to resume under a
 /// *compatible variant* of the original options (e.g. re-scaled grid
 /// signals).  The completion heap is stored as its exact underlying array so
 /// pop order — including tie order — survives the round trip bit for bit.
+/// ForEachField below lists every member; keep the two in step.
 struct EngineState {
   std::vector<Job> jobs;              ///< full job table incl. realised state
   JobQueue queue;                     ///< queued handles, in queue order
@@ -150,7 +154,10 @@ struct EngineState {
   std::vector<double> class_energy_j;      ///< per-class IT energy accumulators
   double last_wall_power_w = 0.0;          ///< previous tick's wall draw
   double last_busy_power_w = 0.0;          ///< previous tick's busy share
-  bool power_event_pending = false;        ///< a power action fired last step
+  /// Set when a power action is applied; makes the *next* step eventful so
+  /// iterative policies (pace_to_cap's rung walk) re-plan, and bounds the
+  /// calendar span to one tick.  Cleared at the top of StepOnce.
+  bool power_event_pending = false;
   // --- thermal topology (tentpole of the thermal-placement redesign) ---
   /// Per-node inlet temperatures of the last integrated span — scheduler-
   /// visible state, so a fork must resume from the same values.  Empty when
@@ -177,6 +184,30 @@ struct EngineState {
   /// step is eventful (mirrors power_event_pending).
   bool thermal_event_pending = false;
 };
+
+/// Calls `f(field)` on every member of `state` in declaration order: the one
+/// field list that snapshot digests and size estimates walk (core/snapshot.cc).
+/// The structured binding must name every member, so a field added to
+/// EngineState but not listed here fails to compile.
+template <typename State, typename F>
+void ForEachField(State& state, F&& f) {
+  static_assert(std::is_same_v<std::remove_const_t<State>, EngineState>);
+  auto& [jobs, queue, rm, stats, recorder, accounts, counters, now, events_this_tick,
+         submit_order, next_submit, next_outage_begin, next_outage_end, next_grid_event,
+         running, job_energy_j, completions, grid_cost_usd, grid_co2_kg, cooling,
+         tick_wall_kwh, node_pstate, node_mode, wake_events, class_energy_j,
+         last_wall_power_w, last_busy_power_w, power_event_pending, node_inlet_c,
+         multi_cooling, thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c,
+         rack_class_tripped, thermal_event_pending] = state;
+  [&f](auto&... field) { (f(field), ...); }(
+      jobs, queue, rm, stats, recorder, accounts, counters, now, events_this_tick,
+      submit_order, next_submit, next_outage_begin, next_outage_end, next_grid_event,
+      running, job_energy_j, completions, grid_cost_usd, grid_co2_kg, cooling,
+      tick_wall_kwh, node_pstate, node_mode, wake_events, class_energy_j,
+      last_wall_power_w, last_busy_power_w, power_event_pending, node_inlet_c,
+      multi_cooling, thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c,
+      rack_class_tripped, thermal_event_pending);
+}
 
 class SimulationEngine {
  public:
@@ -256,24 +287,24 @@ class SimulationEngine {
 
   // --- observers -----------------------------------------------------------
   /// The engine clock.
-  SimTime now() const { return now_; }
+  SimTime now() const { return state_.now; }
   /// The options the engine was constructed (or restored) with.
   const EngineOptions& options() const { return options_; }
-  const EngineCounters& counters() const { return counters_; }
-  const SimulationStats& stats() const { return stats_; }
-  const TimeSeriesRecorder& recorder() const { return recorder_; }
-  const AccountRegistry& accounts() const { return accounts_; }
+  const EngineCounters& counters() const { return state_.counters; }
+  const SimulationStats& stats() const { return state_.stats; }
+  const TimeSeriesRecorder& recorder() const { return state_.recorder; }
+  const AccountRegistry& accounts() const { return state_.accounts; }
   /// The engine-owned job table, indexed by JobQueue::Handle.
-  const std::vector<Job>& jobs() const { return jobs_; }
-  const ResourceManager& resource_manager() const { return rm_; }
-  const JobQueue& queue() const { return queue_; }
+  const std::vector<Job>& jobs() const { return state_.jobs; }
+  const ResourceManager& resource_manager() const { return *state_.rm; }
+  const JobQueue& queue() const { return state_.queue; }
   const SystemConfig& config() const { return config_; }
   Scheduler& scheduler() { return *scheduler_; }
   const Scheduler& scheduler() const { return *scheduler_; }
-  std::size_t running_count() const { return running_.size(); }
+  std::size_t running_count() const { return state_.running.size(); }
 
   /// Per-job simulated energy (J); indexed like jobs().  NaN until completed.
-  const std::vector<double>& job_energy_j() const { return job_energy_j_; }
+  const std::vector<double>& job_energy_j() const { return state_.job_energy_j; }
 
   // --- per-node power states (scheduler-visible knobs) ---------------------
   /// Clocks `node` to ladder rung `p` of its machine class.  Returns false
@@ -299,14 +330,16 @@ class SimulationEngine {
   int nodes_asleep() const;
   /// Per-class IT energy accumulators (J), indexed like config().machines.
   /// All zero unless the scheduler manages power states.
-  const std::vector<double>& class_energy_j() const { return class_energy_j_; }
+  const std::vector<double>& class_energy_j() const {
+    return state_.class_energy_j;
+  }
 
   /// Cumulative wall-energy cost ($) integrated against the grid price
   /// signal, and emissions (kg CO2) against the carbon-intensity signal.
   /// 0 when the corresponding signal is absent.  Bit-identical between the
   /// tick loop and the event calendar.
-  double grid_cost_usd() const { return grid_cost_usd_; }
-  double grid_co2_kg() const { return grid_co2_kg_; }
+  double grid_cost_usd() const { return state_.grid_cost_usd; }
+  double grid_co2_kg() const { return state_.grid_co2_kg; }
 
   // --- thermal topology (scheduler-visible placement context) --------------
   /// The heat-recirculation matrix, or null when the system's cooling spec
@@ -314,29 +347,42 @@ class SimulationEngine {
   const HeatRecirculationMatrix* hr_matrix() const { return hr_matrix_.get(); }
   /// Per-node inlet temperatures of the last integrated span (empty without
   /// a topology).  What the thermal placement policies score against.
-  const std::vector<double>& node_inlet_c() const { return node_inlet_c_; }
+  const std::vector<double>& node_inlet_c() const { return state_.node_inlet_c; }
   /// Fan/leakage overhead (W) the last span added to the IT draw.
   double thermal_leak_w() const { return thermal_leak_w_; }
 
   // --- transient thermal layer (cooling.transient) -------------------------
   /// Per-rack transient inlet temperatures (RC state); empty when the
   /// transient layer is off.
-  const std::vector<double>& rack_transient_c() const { return rack_temp_c_; }
+  const std::vector<double>& rack_transient_c() const {
+    return state_.rack_temp_c;
+  }
   /// The CRAC-controlled supply setpoint (== the base supply when the CRAC
   /// loop is off).
-  double crac_supply_c() const { return crac_supply_c_; }
+  double crac_supply_c() const { return state_.crac_supply_c; }
   /// Nodes currently under thermal-trip throttling.
   int tripped_node_count() const { return tripped_node_count_; }
 
  private:
-  /// Restore path: adopts `state` wholesale, rebuilding only the derived
-  /// schedules (outage lists, grid boundaries, channel handles) from options.
+  /// Restore path: moves `state` in as the engine's store and AdoptState()s
+  /// it.
   struct RestoreTag {};
   SimulationEngine(RestoreTag, SystemConfig config,
                    std::unique_ptr<Scheduler> scheduler, EngineOptions options,
-                   EngineState state);
+                   EngineState&& state);
 
+  /// Fresh path: an initial state_ (clock at sim_start, no energy yet) is
+  /// AdoptState()d, then the window semantics, prepopulation and submit order
+  /// fill in the workload.
   void Initialize();
+  /// Rebuilds what config, options and state_ determine — the outage
+  /// schedule, grid boundaries, per-class power-state counts, tripped-node
+  /// total and channel handles — fills the per-node and rack state an empty
+  /// state (a fresh engine, or a snapshot of a simpler config) lacks, and
+  /// clears the fields these options leave unused, so a re-capture equals a
+  /// capture of an engine run under them.  Throws std::invalid_argument when
+  /// the grid-event cursor lies outside the options' boundary schedule.
+  void AdoptState();
   /// Resolves the derived transient-thermal configuration (flags, per-class
   /// trip temperatures, per-(rack, class) node counts) shared by the fresh
   /// and restore constructors; validates that an enabled block has a thermal
@@ -391,64 +437,39 @@ class SimulationEngine {
   SimDuration RealizedRuntime(const Job& job) const;
 
   SystemConfig config_;
-  std::vector<Job> jobs_;
   std::unique_ptr<Scheduler> scheduler_;
   EngineOptions options_;
+  /// The run state: the only store of every field CaptureState copies.  The
+  /// members below are configuration, data derived from configuration or
+  /// from this state, scratch space, or observers.
+  EngineState state_;
 
-  ResourceManager rm_;
   SystemPowerModel power_model_;
-  std::unique_ptr<CoolingModel> cooling_;
-  /// Per-CDU cooling loops, used instead of the lumped cooling_ when the
-  /// system declares a thermal topology: the placement-dependent heat split
-  /// is exactly what the multi-CDU model exists to observe.
-  std::unique_ptr<MultiCduCoolingModel> multi_cooling_;
   std::unique_ptr<HeatRecirculationMatrix> hr_matrix_;
-  JobQueue queue_;
-  SimulationStats stats_;
-  TimeSeriesRecorder recorder_;
-  AccountRegistry accounts_;
-  EngineCounters counters_;
 
-  SimTime now_ = 0;
   SimDuration tick_ = 0;
   bool initialized_ = false;
-  bool events_this_tick_ = true;  // force a first scheduling pass
 
-  std::vector<JobQueue::Handle> submit_order_;  ///< pending jobs by submit time
-  std::size_t next_submit_ = 0;
+  /// Sorted outage begin/end schedules (state_.next_outage_* are cursors).
   std::vector<std::pair<SimTime, std::vector<int>>> outage_begins_;
   std::vector<std::pair<SimTime, std::vector<int>>> outage_ends_;
-  std::size_t next_outage_begin_ = 0;
-  std::size_t next_outage_end_ = 0;
-  std::vector<JobQueue::Handle> running_;
-  std::vector<double> job_energy_j_;
 
-  /// Grid accounting state: which integrations are active, the running
-  /// totals, and the sorted in-window boundary schedule with its cursor
-  /// (analogous to the outage cursors).
+  /// Which grid integrations are active, and the sorted in-window boundary
+  /// schedule state_.next_grid_event walks (analogous to the outage cursors).
   bool grid_cost_on_ = false;
   bool grid_co2_on_ = false;
-  double grid_cost_usd_ = 0.0;
-  double grid_co2_kg_ = 0.0;
   std::vector<SimTime> grid_events_;
-  std::size_t next_grid_event_ = 0;
 
-  /// Min-heap of (candidate end, handle) — the event calendar's completion
-  /// track, kept as a plain vector managed with std::push_heap/pop_heap
-  /// (exactly what std::priority_queue does underneath) so CaptureState can
-  /// copy the heap array verbatim and a restored engine pops in the same
-  /// order, ties included.  Keys go stale when power-cap throttling dilates
-  /// running jobs (ends only ever move later), so NextCompletionTime re-keys
-  /// lazily on pop instead of rebuilding the heap on every cap-boundary
-  /// crossing.
-  std::vector<std::pair<SimTime, JobQueue::Handle>> completions_;
+  /// state_.completions is the event calendar's completion track: a min-heap
+  /// of (candidate end, handle) kept as a plain vector managed with
+  /// std::push_heap/pop_heap (exactly what std::priority_queue does
+  /// underneath) so a capture copies the heap array verbatim and a restored
+  /// engine pops in the same order, ties included.  Keys go stale when
+  /// power-cap throttling dilates running jobs (ends only ever move later),
+  /// so NextCompletionTime re-keys lazily on pop instead of rebuilding the
+  /// heap on every cap-boundary crossing.
   void PushCompletion(SimTime end, JobQueue::Handle h);
   void PopCompletion();
-
-  /// Per-tick wall kWh since sim_start (capture_grid_basis only): the exact
-  /// doubles the incremental cost/CO2 integration multiplied by the signal
-  /// values, so ReplayGridAccounting reproduces it bit for bit.
-  std::vector<double> tick_wall_kwh_;
 
   /// Compute() over an empty running set is a pure constant (idle draw of
   /// every node); cached so fully idle ticks skip the power model.  Only
@@ -473,14 +494,11 @@ class SimulationEngine {
   std::vector<double> node_busy_w_scratch_;  ///< per-node busy draw from Compute()
   std::vector<double> node_heat_w_;          ///< per-node heat of this span
   std::vector<double> inlet_scratch_;        ///< this span's inlet temps
-  std::vector<double> node_inlet_c_;   ///< published inlet temps (last span)
   std::vector<double> class_idle_heat_w_;  ///< idle draw per machine class
   std::vector<double> idle_inlet_c_;   ///< inlet temps of the fully idle machine
   double idle_leak_w_ = -1.0;          ///< leak of the fully idle machine (<0 = unset)
   double thermal_leak_w_ = 0.0;        ///< last span's leak (observer/history)
-  double thermal_leak_j_ = 0.0;        ///< running leak energy (stats mirror)
-  double peak_inlet_c_ = 0.0;          ///< run-wide hottest inlet (stats mirror)
-  std::vector<double> per_cdu_heat_scratch_;  ///< heat split for multi_cooling_
+  std::vector<double> per_cdu_heat_scratch_;  ///< heat split for the CDU loops
 
   // --- transient thermal layer (cooling.transient) -------------------------
   /// One shared tick of transient physics — CRAC supply step, then the
@@ -493,7 +511,7 @@ class SimulationEngine {
   /// (rack, class) trip flag, or n when none flips.  Runs the exact per-tick
   /// recurrence on scratch copies; only consulted when trips are configured.
   SimDuration TransientSpanBound(SimDuration n);
-  /// Applies trip/clear hysteresis against the current rack_temp_c_,
+  /// Applies trip/clear hysteresis against the current rack temperatures,
   /// updating flags, counters, and tripped_node_count_.  Returns true when
   /// any flag flipped.
   bool ApplyThermalFlips();
@@ -506,34 +524,16 @@ class SimulationEngine {
   bool trip_on_ = false;       ///< any resolved trip temperature > 0
   double supply_base_c_ = 0.0; ///< configured supply (CRAC anchor/upper bound)
   std::vector<double> rack_mean_c_;  ///< per-rack mean quasi-static inlet (span)
-  std::vector<double> rack_temp_c_;  ///< per-rack transient inlet (RC state)
-  double crac_supply_c_ = 0.0;       ///< CRAC-controlled supply (state)
-  std::vector<std::uint8_t> rack_class_tripped_;  ///< racks × classes flags
   std::vector<double> class_trip_c_;  ///< resolved trip temp per class (0 = never)
   std::vector<int> rack_class_nodes_; ///< node count per (rack, class)
-  int tripped_node_count_ = 0;        ///< derived from rack_class_tripped_
-  /// A trip/clear edge fired during the last span; converted into
-  /// events_this_tick_ at the top of the next step (like power_event_pending_).
-  bool thermal_event_pending_ = false;
+  int tripped_node_count_ = 0;        ///< derived from state_.rack_class_tripped
   std::vector<double> pred_rack_c_;   ///< TransientSpanBound scratch
 
   // --- per-node power state ------------------------------------------------
-  std::vector<std::uint8_t> node_pstate_;  ///< ladder rung per global node
-  std::vector<NodePowerMode> node_mode_;   ///< active / C / S / waking
-  /// Min-heap of (wake time, node), managed like completions_ so CaptureState
-  /// copies the array verbatim and forks pop in the same order.
-  std::vector<std::pair<SimTime, int>> wake_events_;
   std::vector<int> class_c_idle_;   ///< nodes in C per class (excl. waking)
   std::vector<int> class_s_sleep_;  ///< nodes in S per class (excl. waking)
-  std::vector<double> class_energy_j_;  ///< per-class IT energy (J)
   int nonzero_pstate_nodes_ = 0;    ///< nodes clocked below P0
   int waking_nodes_ = 0;            ///< wake transitions in flight
-  double last_wall_power_w_ = 0.0;  ///< previous tick's wall draw
-  double last_busy_power_w_ = 0.0;  ///< previous tick's busy share
-  /// Set when a power action is applied; makes the *next* iteration
-  /// eventful so iterative policies (pace_to_cap's rung walk) re-plan, and
-  /// bounds the calendar span to one tick.  Cleared at the top of StepOnce.
-  bool power_event_pending_ = false;
   /// Demand watch (SetPowerWatch): threshold (0 = disarmed) and the step
   /// start at which pre-cap demand first exceeded it.
   double power_watch_threshold_w_ = 0.0;

@@ -2,6 +2,7 @@
 // six systems, the feasible-replay synthesiser, and the Fig. 6 scenario.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <set>
@@ -370,6 +371,23 @@ TEST(FrontierTest, GenerateLoadRoundTrip) {
   ASSERT_EQ(loaded.size(), generated.size());
   EXPECT_FALSE(loaded.front().gpu_util.empty() && loaded.front().cpu_util.empty());
   ExpectFeasibleSchedule(loaded, 9600);
+  fs::remove_all(dir);
+}
+
+TEST(FrontierTest, GenerateCapsJobsAtTheUsableNodeCount) {
+  // Seed 605's one-day workload draws a job above the 0.9 x 9,600 = 8,640
+  // nodes the recorded-schedule synthesiser admits; generation must clamp
+  // it there rather than throw.
+  const fs::path dir = TempDir("frontier_cap");
+  FrontierDatasetSpec spec;
+  spec.span = kDay;
+  spec.arrival_rate_per_hour = 10;
+  spec.seed = 605;
+  const auto jobs = GenerateFrontierDataset(dir.string(), spec);
+  int largest = 0;
+  for (const Job& j : jobs) largest = std::max(largest, j.nodes_required);
+  EXPECT_EQ(largest, 8640);
+  ExpectFeasibleSchedule(jobs, 9600);
   fs::remove_all(dir);
 }
 

@@ -748,7 +748,7 @@ TEST(MultiCduTest, UniformHeatGivesZeroSpread) {
   MultiCduSample s{};
   for (int i = 0; i < 50; ++i) s = m.Step(UniformSplit(m, load), 0, 60.0);
   EXPECT_NEAR(s.spread_c, 0.0, 1e-6);
-  EXPECT_EQ(static_cast<int>(s.cdus.size()), m.num_cdus());
+  EXPECT_EQ(static_cast<int>(m.cdu_states().size()), m.num_cdus());
 }
 
 TEST(MultiCduTest, SkewedHeatCreatesHotSpot) {
@@ -797,12 +797,13 @@ TEST(MultiCduTest, SecondaryLoopLagsStep) {
   const double low = FrontierSpec().design_it_load_kw * 300.0;
   const double high = FrontierSpec().design_it_load_kw * 900.0;
   m.Reset(low);
-  const double before = m.Step(UniformSplit(m, low), 0, 10.0).cdus[0].return_temp_c;
-  const double after_1step = m.Step(UniformSplit(m, high), 0, 10.0).cdus[0].return_temp_c;
-  MultiCduSample settled{};
-  for (int i = 0; i < 500; ++i) settled = m.Step(UniformSplit(m, high), 0, 60.0);
-  EXPECT_GT(after_1step, before);                          // moving up
-  EXPECT_GT(settled.cdus[0].return_temp_c, after_1step);   // not yet settled
+  m.Step(UniformSplit(m, low), 0, 10.0);
+  const double before = m.cdu_states()[0].return_temp_c;
+  m.Step(UniformSplit(m, high), 0, 10.0);
+  const double after_1step = m.cdu_states()[0].return_temp_c;
+  for (int i = 0; i < 500; ++i) m.Step(UniformSplit(m, high), 0, 60.0);
+  EXPECT_GT(after_1step, before);                           // moving up
+  EXPECT_GT(m.cdu_states()[0].return_temp_c, after_1step);  // not yet settled
 }
 
 // --- CSV surface fuzz ------------------------------------------------------------

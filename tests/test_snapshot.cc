@@ -10,9 +10,13 @@
 // sweep tree's price/carbon-scale leaves build on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,6 +25,7 @@
 #include "core/simulation_builder.h"
 #include "core/snapshot.h"
 #include "engine/simulation_engine.h"
+#include "sched/scheduler.h"
 
 namespace sraps {
 namespace {
@@ -338,6 +343,164 @@ TEST(SnapshotTest, ThermalCountersAndStateAreDigestedAndSized) {
   EXPECT_GE(bytes - EngineStateBytes(no_cdus),
             state.multi_cooling->cdu_states().size() * sizeof(CduState));
   EXPECT_EQ(sim->Snapshot().ApproxBytes(), sizeof(SimStateSnapshot) + bytes);
+}
+
+// --- the EngineState field list ------------------------------------------
+
+TEST(SnapshotTest, ForEachFieldVisitsEveryMemberOnce) {
+  // The structured binding in ForEachField stops compiling when a member is
+  // missing from it; this checks the visit list beneath it.  In address
+  // order the visited fields must tile EngineState with nothing between
+  // them but the padding their alignment demands.
+  EngineState state;
+  struct Extent {
+    std::uintptr_t begin, end, align;
+  };
+  std::vector<Extent> fields;
+  ForEachField(state, [&fields](auto& field) {
+    using T = std::remove_cvref_t<decltype(field)>;
+    const auto begin = reinterpret_cast<std::uintptr_t>(&field);
+    fields.push_back({begin, begin + sizeof(T), alignof(T)});
+  });
+  std::sort(fields.begin(), fields.end(),
+            [](const Extent& a, const Extent& b) { return a.begin < b.begin; });
+  const auto round_up = [](std::uintptr_t x, std::uintptr_t a) {
+    return (x + a - 1) / a * a;
+  };
+  std::uintptr_t at = reinterpret_cast<std::uintptr_t>(&state);
+  for (std::size_t i = 0; i < fields.size(); ++i) {
+    EXPECT_EQ(fields[i].begin, round_up(at, fields[i].align)) << "field " << i;
+    at = fields[i].end;
+  }
+  EXPECT_EQ(round_up(at, alignof(EngineState)),
+            reinterpret_cast<std::uintptr_t>(&state) + sizeof(EngineState));
+}
+
+/// Every engine-state feature live at once: a thermal topology with per-CDU
+/// cooling and the transient layer, a power-state policy, and a price signal
+/// with the per-tick energy basis captured.
+ScenarioSpec FullStateSpec() {
+  ScenarioSpec spec = ThermalSpec(true);
+  spec.cooling = true;
+  spec.policy = "race_to_idle";
+  TransientThermalSpec transient;
+  transient.enabled = true;
+  transient.rack_tau_s = 300.0;
+  transient.trip_inlet_c = 60.0;
+  spec.cooling_transient = transient;
+  spec.grid.price_usd_per_kwh = GridSignal::Diurnal(0.08, 0.5, 1.4);
+  spec.capture_grid_basis = true;
+  return spec;
+}
+
+/// One visible change per EngineState field type.
+struct PerturbField {
+  const SystemConfig& config;
+
+  template <typename T>
+  void operator()(T& v) const {
+    static_assert(std::is_arithmetic_v<T>);
+    if constexpr (std::is_same_v<T, bool>) {
+      v = !v;
+    } else {
+      v += 1;
+    }
+  }
+  template <typename T>
+  void operator()(std::vector<T>& v) const { v.emplace_back(); }
+  void operator()(std::vector<Job>& jobs) const { jobs.front().end += 1; }
+  void operator()(JobQueue& queue) const { queue.Push(0); }
+  void operator()(std::optional<ResourceManager>& rm) const {
+    if (rm->IsAsleep(0)) {
+      rm->MarkAwake(0);
+    } else {
+      rm->MarkDown({0});
+    }
+  }
+  void operator()(SimulationStats& stats) const {
+    Job job;
+    job.id = 999;
+    job.nodes_required = 1;
+    job.start = 0;
+    job.end = 60;
+    stats.RecordCompletion(job, 1.0);
+  }
+  void operator()(TimeSeriesRecorder& recorder) const {
+    recorder.Mutable("perturbed").Append(0, 1.0);
+  }
+  void operator()(AccountRegistry& accounts) const { accounts.GetOrCreate("perturbed"); }
+  void operator()(EngineCounters& counters) const { ++counters.thermal_clears; }
+  void operator()(std::optional<CoolingModel>& cooling) const {
+    if (cooling) {
+      cooling.reset();
+    } else {
+      cooling.emplace(config.cooling);
+    }
+  }
+  void operator()(std::optional<MultiCduCoolingModel>& cdus) const {
+    cdus->Step(std::vector<double>(cdus->num_cdus(), 5e3), 0.0, 60.0);
+  }
+};
+
+TEST(SnapshotTest, EveryEngineStateFieldIsDigested) {
+  auto sim = SimulationBuilder(FullStateSpec()).Build();
+  sim->RunUntil(7 * kHour);
+  const EngineState base = sim->engine().CaptureState();
+  ASSERT_TRUE(base.multi_cooling.has_value());
+  ASSERT_FALSE(base.rack_temp_c.empty());
+  ASSERT_FALSE(base.tick_wall_kwh.empty());
+  ASSERT_GT(base.counters.nodes_slept, 0u);
+
+  const std::uint64_t digest = EngineStateFingerprint(base);
+  std::size_t fields = 0;
+  ForEachField(base, [&fields](const auto&) { ++fields; });
+  const PerturbField perturb{sim->engine().config()};
+  for (std::size_t i = 0; i < fields; ++i) {
+    EngineState state = base;
+    std::size_t k = 0;
+    ForEachField(state, [&](auto& field) {
+      if (k++ != i) return;
+      perturb(field);
+    });
+    EXPECT_NE(EngineStateFingerprint(state), digest) << "EngineState field " << i;
+  }
+}
+
+TEST(SnapshotTest, RestoreThenCaptureKeepsDigestAndSize) {
+  auto sim = SimulationBuilder(FullStateSpec()).Build();
+  sim->RunUntil(7 * kHour);
+  const SimStateSnapshot snap = sim->Snapshot();
+  const SimStateSnapshot again = Simulation::ForkFrom(snap)->Snapshot();
+  EXPECT_EQ(again.Fingerprint(), snap.Fingerprint());
+  EXPECT_EQ(again.ApproxBytes(), snap.ApproxBytes());
+  EXPECT_EQ(EngineStateFingerprint(sim->engine().CaptureState()), snap.Fingerprint());
+}
+
+TEST(SnapshotTest, RestoreClearsStateItsOptionsLeaveUnused) {
+  // Restored without cooling and without the transient layer, the engine
+  // holds neither loop nor rack state, as an engine run that way never had.
+  auto sim = SimulationBuilder(FullStateSpec()).Build();
+  sim->RunUntil(7 * kHour);
+  EngineState state = sim->engine().CaptureState();
+  ASSERT_FALSE(state.rack_temp_c.empty());
+  state.thermal_event_pending = true;
+  SystemConfig config = sim->engine().config();
+  config.cooling.transient.enabled = false;
+  EngineOptions options = sim->engine().options();
+  options.enable_cooling = false;
+  const AccountRegistry accounts;
+  SchedulerCloneContext ctx;
+  ctx.accounts = &accounts;
+  ctx.grid = &options.grid;
+  const auto engine = SimulationEngine::Restore(
+      config, sim->engine().scheduler().Clone(ctx), options, std::move(state));
+  const EngineState restored = engine->CaptureState();
+  EXPECT_FALSE(restored.cooling.has_value());
+  EXPECT_FALSE(restored.multi_cooling.has_value());
+  EXPECT_TRUE(restored.rack_temp_c.empty());
+  EXPECT_TRUE(restored.rack_class_tripped.empty());
+  EXPECT_EQ(restored.crac_supply_c, 0.0);
+  EXPECT_FALSE(restored.thermal_event_pending);
 }
 
 TEST(SnapshotTest, DoubleForkFromOneSnapshotIsIndependent) {
