@@ -71,17 +71,4 @@ MultiCduSample MultiCduCoolingModel::Step(const std::vector<double>& per_cdu_hea
   return sample;
 }
 
-std::vector<double> DistributeHeatByCabinet(const std::vector<double>& per_node_heat_w,
-                                            int nodes_per_cabinet, int num_cdus) {
-  if (nodes_per_cabinet <= 0 || num_cdus <= 0) {
-    throw std::invalid_argument("DistributeHeatByCabinet: bad parameters");
-  }
-  std::vector<double> per_cdu(num_cdus, 0.0);
-  for (std::size_t n = 0; n < per_node_heat_w.size(); ++n) {
-    const int cabinet = static_cast<int>(n) / nodes_per_cabinet;
-    per_cdu[cabinet % num_cdus] += per_node_heat_w[n];
-  }
-  return per_cdu;
-}
-
 }  // namespace sraps

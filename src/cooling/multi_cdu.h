@@ -1,16 +1,16 @@
-// Per-CDU cooling extension.  The paper's cooling model "simulates from
-// cooling distribution unit (CDU) to cooling towers" (§3.1); the lumped
-// CoolingModel collapses all CDUs into one loop, which is exact when heat is
-// uniform but hides hot-spot CDUs under skewed placement.  This extension
-// tracks one secondary loop per CDU — each with its own thermal state and
-// heat share — feeding the shared facility loop/tower model.  The engine
-// selects it automatically whenever a thermal topology is configured: the
-// placement then determines where heat lands (rack r feeds CDU
-// r % num_cdus), so what-if studies observe per-CDU return temperatures
-// (e.g. a full-system job concentrated on half the cabinets).  The
-// rack-level transient layer (cooling/transient_thermal.h) sits above this
-// loop model: it lags the topology's quasi-static inlets, it does not feed
-// back into the CDU heat split.
+// Per-CDU cooling model.  The paper's cooling model "simulates from cooling
+// distribution unit (CDU) to cooling towers" (§3.1).  This model tracks one
+// secondary loop per CDU — each with its own thermal state and heat share —
+// feeding the shared facility loop/tower model (CoolingModel).  It is the
+// engine's one cooling loop.  With a thermal topology the placement
+// determines where heat lands (rack r feeds CDU r % num_cdus), so what-if
+// studies observe per-CDU return temperatures (e.g. a full-system job
+// concentrated on half the cabinets).  Without one the engine runs a single
+// CDU fed the whole IT draw, whose facility sample equals the lumped
+// CoolingModel's bit for bit.  The rack-level transient layer
+// (cooling/transient_thermal.h) sits above this loop model: it lags the
+// topology's quasi-static inlets, it does not feed back into the CDU heat
+// split.
 #pragma once
 
 #include <vector>
@@ -60,10 +60,5 @@ class MultiCduCoolingModel {
   double per_cdu_flow_kg_s_;
   double secondary_mass_j_per_k_;
 };
-
-/// Maps per-partition/per-node heat to CDUs by cabinet: node n belongs to
-/// CDU (n / nodes_per_cabinet) % num_cdus.  Returns a num_cdus-sized vector.
-std::vector<double> DistributeHeatByCabinet(const std::vector<double>& per_node_heat_w,
-                                            int nodes_per_cabinet, int num_cdus);
 
 }  // namespace sraps

@@ -128,10 +128,17 @@ class Simulation {
   friend class SimulationBuilder;  ///< assembles all state via BuildInto
   Simulation() = default;
 
-  /// Shared fork body: restores the engine from `snap`, optionally swapping
-  /// the grid environment (ForkWithGrid validates compatibility first).
-  static std::unique_ptr<Simulation> Fork(const SimStateSnapshot& snap,
-                                          const GridEnvironment* grid);
+  /// The one fork body: a Simulation running `spec` and `eo` on `config`
+  /// with the snapshot's policy accounts and window, its engine restored
+  /// from one copy of the snapshot's state (grid-event cursor replaced by
+  /// `grid_cursor` when set).  The scheduler is the snapshot's, cloned, or
+  /// with `fresh_scheduler` a new one from the registries; `caller` names
+  /// the fork in the clone-refusal error.
+  static std::unique_ptr<Simulation> Fork(const SimStateSnapshot& snap, ScenarioSpec spec,
+                                          SystemConfig config, EngineOptions eo,
+                                          const char* caller,
+                                          bool fresh_scheduler = false,
+                                          std::optional<std::size_t> grid_cursor = {});
 
   ScenarioSpec options_;
   SystemConfig config_;

@@ -87,10 +87,6 @@ std::size_t FieldBytes(const ResourceManager& rm) {
   return static_cast<std::size_t>(rm.total_nodes()) * 2;
 }
 
-/// The lumped loop: its temperature is the whole trajectory state.
-void HashField(Fnv64& h, const CoolingModel& c) { h.D(c.loop_temp_c()); }
-std::size_t FieldBytes(const CoolingModel&) { return 0; }
-
 void HashField(Fnv64& h, const MultiCduCoolingModel& m) {
   h.D(m.facility().loop_temp_c());
   h.U64(m.cdu_states().size());
@@ -324,29 +320,45 @@ SimStateSnapshot Simulation::Snapshot() const {
 }
 
 std::unique_ptr<Simulation> Simulation::Fork(const SimStateSnapshot& snap,
-                                             const GridEnvironment* grid) {
+                                             ScenarioSpec spec, SystemConfig config,
+                                             EngineOptions eo, const char* caller,
+                                             bool fresh_scheduler,
+                                             std::optional<std::size_t> grid_cursor) {
   std::unique_ptr<Simulation> sim(new Simulation());
-  sim->options_ = snap.spec_;
-  sim->config_ = snap.config_;
+  sim->options_ = std::move(spec);
+  sim->config_ = std::move(config);
   sim->policy_accounts_ = snap.policy_accounts_;
   sim->sim_start_ = snap.sim_start_;
   sim->sim_end_ = snap.sim_end_;
-  EngineOptions eo = snap.engine_options_;
-  if (grid) {
-    eo.grid = *grid;
-    sim->options_.grid = *grid;
-  }
-  SchedulerCloneContext ctx;
-  ctx.accounts = &sim->policy_accounts_;
-  ctx.grid = &sim->options_.grid;
-  std::unique_ptr<Scheduler> sched = snap.scheduler_->Clone(ctx);
-  if (!sched) {
-    throw std::runtime_error("Simulation::ForkFrom: snapshot scheduler '" +
-                             snap.scheduler_->name() + "' refused to clone");
+  std::unique_ptr<Scheduler> sched;
+  if (fresh_scheduler) {
+    // A fresh build, exactly as SimulationBuilder would: the built-in family
+    // is stateless, and before the first Schedule() invocation (the caller's
+    // bound) it has observed no callbacks, so fresh == cloned-with-history.
+    SchedulerFactoryContext fctx;
+    fctx.config = &sim->config_;
+    fctx.policy = sim->options_.policy;
+    fctx.backfill = sim->options_.backfill;
+    fctx.accounts = &sim->policy_accounts_;
+    fctx.grid = &sim->options_.grid;
+    sched = SchedulerRegistry().Get(sim->options_.scheduler)(fctx);
+  } else {
+    // The clone must not dangle into the snapshot: bind it to the fork's own
+    // accounts and grid.
+    SchedulerCloneContext cctx;
+    cctx.accounts = &sim->policy_accounts_;
+    cctx.grid = &sim->options_.grid;
+    sched = snap.scheduler_->Clone(cctx);
+    if (!sched) {
+      throw std::runtime_error(std::string("Simulation::") + caller +
+                               ": snapshot scheduler '" + snap.scheduler_->name() +
+                               "' refused to clone");
+    }
   }
   // A fresh deep copy per fork: forking twice from one snapshot yields two
   // fully independent simulations.
   EngineState state = snap.state_;
+  if (grid_cursor) state.next_grid_event = *grid_cursor;
   sim->engine_ = SimulationEngine::Restore(sim->config_, std::move(sched),
                                            std::move(eo), std::move(state));
   return sim;
@@ -373,7 +385,7 @@ std::size_t EngineStateBytes(const EngineState& s) {
 }
 
 std::unique_ptr<Simulation> Simulation::ForkFrom(const SimStateSnapshot& snap) {
-  return Fork(snap, nullptr);
+  return Fork(snap, snap.spec_, snap.config_, snap.engine_options_, "ForkFrom");
 }
 
 namespace {
@@ -457,14 +469,9 @@ std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& sn
   // reproduce the plain path's failure rows exactly.
   ValidateScenarioSpec(patched);
 
-  std::unique_ptr<Simulation> sim(new Simulation());
-  sim->options_ = patched;
-  sim->config_ = snap.config_;
-  sim->policy_accounts_ = snap.policy_accounts_;
-  sim->sim_start_ = snap.sim_start_;
-  sim->sim_end_ = snap.sim_end_;
+  SystemConfig config = snap.config_;
   EngineOptions eo = snap.engine_options_;
-  EngineState state = snap.state_;
+  std::optional<std::size_t> grid_cursor;  // the remapped grid-event cursor
 
   if (key == "power_cap_w") {
     // Sound while pre-cap demand never exceeded the new cap (the caller's
@@ -508,20 +515,21 @@ std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& sn
     // boundaries <= M reproduces the straight run's cursor exactly.
     const std::vector<SimTime> old_events =
         snap.engine_options_.grid.BoundariesIn(eo.sim_start, eo.sim_end);
-    if (state.next_grid_event > old_events.size()) {
+    const std::size_t consumed = snap.state_.next_grid_event;
+    if (consumed > old_events.size()) {
       throw std::logic_error("ForkWithPatch: snapshot grid cursor outside its "
                              "own boundary schedule");
     }
     eo.grid = patched.grid;
-    if (state.next_grid_event > 0) {
-      const SimTime last_consumed = old_events[state.next_grid_event - 1];
+    if (consumed > 0) {
+      const SimTime last_consumed = old_events[consumed - 1];
       const std::vector<SimTime> new_events =
           patched.grid.BoundariesIn(eo.sim_start, eo.sim_end);
       std::size_t cursor = 0;
       while (cursor < new_events.size() && new_events[cursor] <= last_consumed) {
         ++cursor;
       }
-      state.next_grid_event = cursor;
+      grid_cursor = cursor;
     }
   } else if (key == "cooling.supply_temp_c") {
     if (snap.config_.cooling.transient.enabled) {
@@ -540,12 +548,12 @@ std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& sn
           "scratch"));
     }
     if (patched.cooling_supply_temp_c) {
-      sim->config_.cooling.supply_temp_c = *patched.cooling_supply_temp_c;
+      config.cooling.supply_temp_c = *patched.cooling_supply_temp_c;
     }
     // Mirror BuildInto's merged-cooling validation so a setpoint the plain
     // path rejects fails the fork too (the sweep tree then falls back).
-    if (sim->config_.cooling.topology.enabled()) {
-      ValidateCoolingSpec(sim->config_.cooling, sim->config_.TotalNodes(),
+    if (config.cooling.topology.enabled()) {
+      ValidateCoolingSpec(config.cooling, config.TotalNodes(),
                           "ScenarioSpec '" + patched.name + "'");
     }
     // The resumed engine's next integrated span recomputes and republishes
@@ -589,7 +597,7 @@ std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& sn
           "policy_prereq", key,
           "policy '" + patched.policy + "' needs a grid signal"));
     }
-    if (new_policy.needs_thermal && !sim->config_.cooling.topology.enabled()) {
+    if (new_policy.needs_thermal && !config.cooling.topology.enabled()) {
       throw std::invalid_argument(PatchGuardError(
           "policy_prereq", key,
           "policy '" + patched.policy + "' needs a thermal topology"));
@@ -602,31 +610,8 @@ std::unique_ptr<Simulation> Simulation::ForkWithPatch(const SimStateSnapshot& sn
         "variant from scratch"));
   }
 
-  std::unique_ptr<Scheduler> sched;
-  if (IsSchedulerSwapKey(key)) {
-    // A fresh build, exactly as SimulationBuilder would: the built-in family
-    // is stateless, and before the first Schedule() invocation (the caller's
-    // bound) it has observed no callbacks, so fresh == cloned-with-history.
-    SchedulerFactoryContext fctx;
-    fctx.config = &sim->config_;
-    fctx.policy = patched.policy;
-    fctx.backfill = patched.backfill;
-    fctx.accounts = &sim->policy_accounts_;
-    fctx.grid = &sim->options_.grid;
-    sched = SchedulerRegistry().Get(patched.scheduler)(fctx);
-  } else {
-    SchedulerCloneContext cctx;
-    cctx.accounts = &sim->policy_accounts_;
-    cctx.grid = &sim->options_.grid;
-    sched = snap.scheduler_->Clone(cctx);
-    if (!sched) {
-      throw std::runtime_error("Simulation::ForkWithPatch: snapshot scheduler '" +
-                               snap.scheduler_->name() + "' refused to clone");
-    }
-  }
-  sim->engine_ = SimulationEngine::Restore(sim->config_, std::move(sched),
-                                           std::move(eo), std::move(state));
-  return sim;
+  return Fork(snap, std::move(patched), std::move(config), std::move(eo), "ForkWithPatch",
+              IsSchedulerSwapKey(key), grid_cursor);
 }
 
 std::unique_ptr<Simulation> Simulation::ForkWithGrid(const SimStateSnapshot& snap,
@@ -647,7 +632,12 @@ std::unique_ptr<Simulation> Simulation::ForkWithGrid(const SimStateSnapshot& sna
                        "scratch"));
   }
   RequireGridCompatible(snap.spec().grid, grid, snap.sim_start(), snap.sim_end());
-  std::unique_ptr<Simulation> sim = Fork(snap, &grid);
+  ScenarioSpec spec = snap.spec_;
+  spec.grid = grid;
+  EngineOptions eo = snap.engine_options_;
+  eo.grid = std::move(grid);
+  std::unique_ptr<Simulation> sim =
+      Fork(snap, std::move(spec), snap.config_, std::move(eo), "ForkFrom");
   sim->engine_->ReplayGridAccounting();
   return sim;
 }

@@ -20,6 +20,15 @@ SimDuration TicksToReach(SimTime from, SimTime target, SimDuration step) {
   return (target - from + step - 1) / step;
 }
 
+/// Adds `inc` to `acc` n times.  A batched span must reproduce the tick
+/// loop's running sums bit for bit, so the increment is added, never
+/// multiplied by n.
+void AddRepeated(double& acc, double inc, SimDuration n) {
+  double sum = acc;
+  for (SimDuration k = 0; k < n; ++k) sum += inc;
+  acc = sum;
+}
+
 }  // namespace
 
 SimulationEngine::SimulationEngine(SystemConfig config, std::vector<Job> jobs,
@@ -79,13 +88,12 @@ SimulationEngine::SimulationEngine(SystemConfig config, std::vector<Job> jobs,
       throw std::invalid_argument("SimulationEngine: system '" + config_.name +
                                   "' has no cooling model");
     }
-    if (hr_matrix_) {
-      // With a thermal topology the placement determines where heat lands;
-      // the per-CDU model is the loop that can see that split.
-      state_.multi_cooling.emplace(config_.cooling);
-    } else {
-      state_.cooling.emplace(config_.cooling);
-    }
+    // With a thermal topology the loop splits the heat over the system's CDUs
+    // by rack; without one the heat has no placement, so the loop is a single
+    // CDU, whose facility loop is the lumped CoolingModel bit for bit.
+    CoolingSpec loop = config_.cooling;
+    if (!hr_matrix_) loop.num_cdus = 1;
+    state_.cooling.emplace(loop);
   }
   Initialize();
 }
@@ -136,15 +144,9 @@ std::unique_ptr<SimulationEngine> SimulationEngine::Restore(
         " outside the window [" + std::to_string(options.sim_start) + ", " +
         std::to_string(options.sim_end) + ") plus its final tick");
   }
-  const bool thermal_topology = config.cooling.topology.enabled();
-  if (options.enable_cooling && !thermal_topology && !state.cooling) {
+  if (options.enable_cooling && !state.cooling) {
     throw std::invalid_argument("SimulationEngine::Restore: cooling is enabled but "
                                 "the state carries no cooling-loop snapshot");
-  }
-  if (options.enable_cooling && thermal_topology && !state.multi_cooling) {
-    throw std::invalid_argument(
-        "SimulationEngine::Restore: cooling is enabled on a thermal topology "
-        "but the state carries no per-CDU cooling snapshot");
   }
   if (!state.node_inlet_c.empty() &&
       state.node_inlet_c.size() != static_cast<std::size_t>(config.TotalNodes())) {
@@ -230,7 +232,7 @@ void SimulationEngine::ResolveHistoryChannels() {
       hist_.rack_inlet.push_back(
           &recorder.Mutable("rack" + std::to_string(r) + "_inlet_c"));
     }
-    if (state_.multi_cooling) hist_.cdu_spread = &recorder.Mutable("cdu_spread_c");
+    if (state_.cooling) hist_.cdu_spread = &recorder.Mutable("cdu_spread_c");
   }
   if (transient_on_) {
     hist_.rack_transient.clear();
@@ -303,8 +305,7 @@ void SimulationEngine::SetupTransientThermal() {
 }
 
 void SimulationEngine::AdoptState() {
-  if (!options_.enable_cooling || hr_matrix_) state_.cooling.reset();
-  if (!options_.enable_cooling || !hr_matrix_) state_.multi_cooling.reset();
+  if (!options_.enable_cooling) state_.cooling.reset();
   if (hr_matrix_) {
     if (state_.node_inlet_c.empty()) {
       // No heat has been integrated yet (a fresh engine, or a pre-thermal
@@ -933,13 +934,13 @@ void SimulationEngine::ApplyThermalLayer(PowerSample& power, bool machine_idle) 
   const double supply = config_.cooling.supply_temp_c;
   const double fan_leak = config_.cooling.topology.fan_leak_w_per_k;
   const auto total = static_cast<std::size_t>(config_.TotalNodes());
+  node_heat_w_.resize(total);
   if (machine_idle) {
     // Fully idle machine (every node active at P0, including down nodes,
     // which draw idle in the electrical model too): heat is the per-class
     // idle draw, so the inlet temperatures and the leak are pure constants.
     // The matvec result is cached like idle_sample_; the O(N) heat fill
-    // still runs because the multi-CDU split below reads node_heat_w_.
-    node_heat_w_.resize(total);
+    // still runs because the CDU heat split (SplitHeatByCdu) reads it.
     for (std::size_t n = 0; n < total; ++n) {
       node_heat_w_[n] = class_idle_heat_w_[config_.ClassOf(static_cast<int>(n))];
     }
@@ -952,7 +953,6 @@ void SimulationEngine::ApplyThermalLayer(PowerSample& power, bool machine_idle) 
     inlet_scratch_ = idle_inlet_c_;
     thermal_leak_w_ = idle_leak_w_;
   } else {
-    node_heat_w_.resize(total);
     for (std::size_t n = 0; n < total; ++n) {
       const double busy_w = node_busy_w_scratch_[n];
       if (busy_w >= 0.0) {
@@ -984,6 +984,22 @@ void SimulationEngine::ApplyThermalLayer(PowerSample& power, bool machine_idle) 
   power.it_power_w += thermal_leak_w_;
   power.loss_w = power_model_.conversion().LossW(power.it_power_w);
   power.wall_power_w = power.it_power_w + power.loss_w;
+
+  // Per-rack mean quasi-static inlets, shared by the transient-thermal
+  // targets and the rack history channels.  Summation order matches the
+  // original per-rack channel fill exactly, so the zero-mass degenerate
+  // case reproduces the quasi-static values bit for bit.
+  if (!transient_on_ && !hist_.max_inlet) return;
+  const int per_rack = hr_matrix_->nodes_per_rack();
+  const auto racks = static_cast<std::size_t>(hr_matrix_->racks());
+  rack_mean_c_.resize(racks);
+  for (int r = 0; r < static_cast<int>(racks); ++r) {
+    double sum = 0.0;
+    for (int k = 0; k < per_rack; ++k) {
+      sum += inlet_scratch_[static_cast<std::size_t>(r * per_rack + k)];
+    }
+    rack_mean_c_[static_cast<std::size_t>(r)] = sum / per_rack;
+  }
 }
 
 void SimulationEngine::TransientPhysicsTick(double& supply_c,
@@ -1089,26 +1105,21 @@ double SimulationEngine::JobTripFactor(const Job& job) const {
   return 1.0;
 }
 
-SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
-  // Step (4), batched: the caller guarantees ticks 2..n are event-free with
-  // the same sampled power as tick 1, so one power/throttle computation
-  // covers the whole span and every per-tick arithmetic below repeats the
-  // tick-by-tick loop operation for operation.
+// The stages below run once per AdvanceTicks call, i.e. once per tick in
+// tick mode.  They are `inline` so the compiler can fold them back into
+// AdvanceTicks: out of line, the stage calls slowed idle tick stepping (the
+// engine-throughput bench's sparse tick-mode cases) by 10-20 %.
+
+inline SimulationEngine::Span SimulationEngine::SamplePower(PowerSample& power) {
   // Power states are "active" only while some node is off P0 or in a C/S
   // state; nodes mid-wake draw active idle, which the legacy arithmetic
   // already models, so a waking-only machine stays on the fast path.
-  int sleeping_nodes = 0;
-  for (int c : class_c_idle_) sleeping_nodes += c;
-  for (int s : class_s_sleep_) sleeping_nodes += s;
-  const bool ps_active = nonzero_pstate_nodes_ > 0 || sleeping_nodes > 0;
-  // Thermal-trip dilation state entering the span.  Flips can only happen at
-  // the span's last tick (TransientSpanBound truncates to guarantee it), so
-  // the flags are span-constant for the dilation arithmetic below.
-  const bool trips_active = trip_on_ && tripped_node_count_ > 0;
-
-  PowerSample power;
-  const bool use_idle_cache = state_.running.empty() && !ps_active;
-  if (use_idle_cache) {
+  Span span;
+  for (int c : class_c_idle_) span.sleeping_nodes += c;
+  for (int s : class_s_sleep_) span.sleeping_nodes += s;
+  span.ps_active = nonzero_pstate_nodes_ > 0 || span.sleeping_nodes > 0;
+  span.idle = state_.running.empty() && !span.ps_active;
+  if (span.idle) {
     // A fully idle machine draws a constant: every node at idle power.
     // P-states never stale the cache — they only scale busy dynamic power,
     // and this branch requires every node active at P0.
@@ -1124,37 +1135,20 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     running_scratch_.reserve(state_.running.size());
     for (JobQueue::Handle h : state_.running) running_scratch_.push_back(&state_.jobs[h]);
     const PowerStateView psv{&state_.node_pstate, &class_c_idle_, &class_s_sleep_};
-    power = power_model_.Compute(running_scratch_, state_.now, &job_power_scratch_,
-                                 ps_active ? &psv : nullptr,
-                                 ps_active ? &job_freq_scratch_ : nullptr,
-                                 class_energy_on_ ? &class_w_scratch_ : nullptr,
-                                 hr_matrix_ ? &node_busy_w_scratch_ : nullptr);
+    power = power_model_.Compute(
+        running_scratch_, state_.now, &job_power_scratch_,
+        span.ps_active ? &psv : nullptr, span.ps_active ? &job_freq_scratch_ : nullptr,
+        class_energy_on_ ? &class_w_scratch_ : nullptr,
+        hr_matrix_ ? &node_busy_w_scratch_ : nullptr);
   }
+  // Signal boundaries are calendar events, so the values in force now hold
+  // across the span.
+  span.price = grid_cost_on_ ? options_.grid.price_usd_per_kwh.At(state_.now) : 0.0;
+  span.carbon = grid_co2_on_ ? options_.grid.carbon_kg_per_kwh.At(state_.now) : 0.0;
+  return span;
+}
 
-  // Thermal topology: fold the span's per-node heat through the
-  // recirculation matrix and add the temperature-dependent fan/leakage
-  // overhead before the cap reads the wall power.  Inputs are exactly the
-  // span-constant sampled draws, so the result is span-constant too and the
-  // calendar stays bit-identical to tick stepping.
-  ApplyThermalLayer(power, use_idle_cache);
-
-  // Per-rack mean quasi-static inlets, shared by the transient-thermal
-  // targets and the rack history channels below.  Summation order matches
-  // the original per-rack channel fill exactly, so the zero-mass degenerate
-  // case reproduces the quasi-static values bit for bit.
-  if (hr_matrix_ && (transient_on_ || hist_.max_inlet)) {
-    const int per_rack = hr_matrix_->nodes_per_rack();
-    const auto racks = static_cast<std::size_t>(hr_matrix_->racks());
-    rack_mean_c_.resize(racks);
-    for (int r = 0; r < static_cast<int>(racks); ++r) {
-      double sum = 0.0;
-      for (int k = 0; k < per_rack; ++k) {
-        sum += inlet_scratch_[static_cast<std::size_t>(r * per_rack + k)];
-      }
-      rack_mean_c_[static_cast<std::size_t>(r)] = sum / per_rack;
-    }
-  }
-
+inline SimDuration SimulationEngine::BoundSpan(SimDuration n) {
   // Thermal-trip edges must land on step boundaries in both stepping modes:
   // truncate the span at the first tick whose transient temperatures would
   // flip a trip flag.  RC/CRAC state alone generates no events, so spans
@@ -1164,7 +1158,10 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
     // Ticks 2..n would each take CallSchedule's event-free skip branch.
     state_.counters.scheduler_skips += static_cast<std::size_t>(n - 1);
   }
+  return n;
+}
 
+inline void SimulationEngine::CapPower(PowerSample& power, Span& span) {
   // The *demand* the machine sampled this span (pre-cap, post-P-state): what
   // pace_to_cap reads to decide whether the ladder must step down to fit the
   // effective cap — by the time uniform throttling has clipped the draw, the
@@ -1188,224 +1185,194 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
   // force is dynamic — the static cap tightened by any active demand-
   // response window — and is constant across the span: DR edges are
   // calendar events, so no span straddles a cap change.
-  const double dt = static_cast<double>(tick_);
   const double cap_w = EffectiveCapW();
-  double throttle = 1.0;
   if (cap_w > 0.0 && power.wall_power_w > cap_w && power.busy_power_w > 0.0) {
     const double idle_wall = power.wall_power_w - power.busy_power_w;
-    throttle = (cap_w - idle_wall) / power.busy_power_w;
-    throttle = std::max(0.1, std::min(1.0, throttle));  // DVFS floor at 10 %
-    const double shed = (1.0 - throttle) * power.busy_power_w;
+    span.throttle = (cap_w - idle_wall) / power.busy_power_w;
+    span.throttle = std::max(0.1, std::min(1.0, span.throttle));  // DVFS floor at 10 %
+    const double shed = (1.0 - span.throttle) * power.busy_power_w;
     power.busy_power_w -= shed;
     power.it_power_w -= shed;
     power.loss_w = power_model_.conversion().LossW(power.it_power_w);
     power.wall_power_w = power.it_power_w + power.loss_w;
   }
-  // Runtime dilation: each tick only completes `eff * dt` worth of work, so
-  // each job's end recedes by the missing dt*(1 - eff) per tick (net progress
-  // per tick is then exactly eff * dt).  eff = throttle * freq * trip:
-  //  - throttle, the uniform cap factor above;
+}
+
+inline void SimulationEngine::DilateRuntimes(const Span& span) {
+  // Each tick only completes `eff * dt` worth of work, so each job's end
+  // recedes by the missing dt*(1 - eff) per tick (net progress per tick is
+  // then exactly eff * dt).  eff = throttle * freq * trip:
+  //  - throttle, the uniform cap factor;
   //  - freq, the job's slowest P-state rung across its nodes (power states
   //    only) — a rung change is a power event bounding spans to one tick, so
   //    freq is span-constant like the cap;
   //  - trip, the thermal-trip factor (duty-cycle semantics: a throttled node
   //    keeps its sampled draw while its work slows, so wall power stays
-  //    span-constant and the cap / demand-watch reasoning above is untouched).
+  //    span-constant and the cap / demand-watch reasoning is untouched).
+  //    Flips only happen at the span's last tick (BoundSpan), after this
+  //    stage, so the flags are span-constant here.
   // An absent factor is an exact 1.0, and eff >= 1 extends nothing, so an
   // unthrottled job's end is untouched.  Ends only move later, preserving the
   // completion heap's lazy re-key invariant; the heap itself is not touched.
-  if (throttle < 1.0 || ps_active || trips_active) {
+  const bool trips_active = trip_on_ && tripped_node_count_ > 0;
+  if (span.throttle < 1.0 || span.ps_active || trips_active) {
+    const double dt = static_cast<double>(tick_);
     for (std::size_t i = 0; i < state_.running.size(); ++i) {
       Job& job = state_.jobs[state_.running[i]];
       const double freq =
-          ps_active && i < job_freq_scratch_.size() ? job_freq_scratch_[i] : 1.0;
+          span.ps_active && i < job_freq_scratch_.size() ? job_freq_scratch_[i] : 1.0;
       const double trip = trips_active ? JobTripFactor(job) : 1.0;
-      const double eff = throttle * freq * trip;
+      const double eff = span.throttle * freq * trip;
       if (eff >= 1.0) continue;
       const auto ext = static_cast<SimDuration>(std::llround(dt * (1.0 - eff)));
-      job.end += ext * n;
+      job.end += ext * span.n;
     }
   }
+}
 
-  // Accumulate per-job energy over the span, reusing the draws Compute just
-  // sampled.  The per-tick increment is constant, but the running sum must
-  // reproduce the tick loop's repeated addition bit for bit, so it is added
-  // n times rather than multiplied.
+inline void SimulationEngine::AccumulateItEnergy(const Span& span) {
+  // Per-job energy over the span, reusing the draws Compute just sampled.
+  const double dt = static_cast<double>(tick_);
   for (std::size_t i = 0; i < state_.running.size(); ++i) {
-    const double increment = job_power_scratch_[i] * throttle * dt;
-    double acc = state_.job_energy_j[state_.running[i]];
-    for (SimDuration k = 0; k < n; ++k) acc += increment;
-    state_.job_energy_j[state_.running[i]] = acc;
+    AddRepeated(state_.job_energy_j[state_.running[i]],
+                job_power_scratch_[i] * span.throttle * dt, span.n);
   }
-
   // Per-class IT energy breakdown (power-state schedulers only, so the
   // legacy fast paths stay free of the O(classes) span work).  Sampled IT
-  // draw, pre-cap-throttle; repeated addition for tick/calendar identity.
-  if (class_energy_on_) {
-    const std::vector<double>& class_w =
-        use_idle_cache ? idle_class_w_ : class_w_scratch_;
-    for (std::size_t c = 0; c < state_.class_energy_j.size(); ++c) {
-      const double inc = class_w[c] * dt;
-      double acc = state_.class_energy_j[c];
-      for (SimDuration k = 0; k < n; ++k) acc += inc;
-      state_.class_energy_j[c] = acc;
-    }
-    state_.stats.SetClassEnergy(state_.class_energy_j);
+  // draw, pre-cap-throttle.
+  if (!class_energy_on_) return;
+  const std::vector<double>& class_w = span.idle ? idle_class_w_ : class_w_scratch_;
+  for (std::size_t c = 0; c < state_.class_energy_j.size(); ++c) {
+    AddRepeated(state_.class_energy_j[c], class_w[c] * dt, span.n);
   }
+  state_.stats.SetClassEnergy(state_.class_energy_j);
+}
 
-  // Grid accounting: wall energy priced at the signals in force now.  Signal
-  // boundaries are calendar events, so both values are constant across the
-  // span and the per-tick increments repeat the tick loop's additions bit
-  // for bit (same repeated-addition discipline as the job energy above).
-  const double price_now =
-      grid_cost_on_ ? options_.grid.price_usd_per_kwh.At(state_.now) : 0.0;
-  const double carbon_now =
-      grid_co2_on_ ? options_.grid.carbon_kg_per_kwh.At(state_.now) : 0.0;
-  if (!state_.cooling && !state_.multi_cooling &&
-      (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis)) {
-    const double kwh_per_tick = power.wall_power_w * dt / 3.6e6;
-    // Replay basis: the exact per-tick kWh the integration below multiplies
-    // by the signal values, so ReplayGridAccounting can redo the same
-    // additions under re-scaled signals bit for bit.
-    if (options_.capture_grid_basis) {
-      state_.tick_wall_kwh.insert(state_.tick_wall_kwh.end(), static_cast<std::size_t>(n),
-                            kwh_per_tick);
-    }
-    const double cost_inc = kwh_per_tick * price_now;
-    const double co2_inc = kwh_per_tick * carbon_now;
-    if (grid_cost_on_ || grid_co2_on_) {
-      for (SimDuration k = 0; k < n; ++k) {
-        state_.grid_cost_usd += cost_inc;
-        state_.grid_co2_kg += co2_inc;
-      }
-    }
+inline void SimulationEngine::RecordElectricalHistory(const PowerSample& power,
+                                               const Span& span) {
+  if (!options_.record_history) return;
+  const auto count = static_cast<std::size_t>(span.n);
+  hist_.it_power->AppendSpan(state_.now, tick_, count, power.it_power_w / 1000.0);
+  hist_.loss->AppendSpan(state_.now, tick_, count, power.loss_w / 1000.0);
+  hist_.utilization->AppendSpan(state_.now, tick_, count,
+                                power.node_utilization * 100.0);
+  hist_.queue_len->AppendSpan(state_.now, tick_, count,
+                              static_cast<double>(state_.queue.size()));
+  hist_.running->AppendSpan(state_.now, tick_, count,
+                            static_cast<double>(state_.running.size()));
+  if (hist_.throttle) hist_.throttle->AppendSpan(state_.now, tick_, count, span.throttle);
+  if (hist_.price) hist_.price->AppendSpan(state_.now, tick_, count, span.price);
+  if (hist_.carbon) hist_.carbon->AppendSpan(state_.now, tick_, count, span.carbon);
+  if (hist_.nodes_asleep) {
+    const double asleep = static_cast<double>(span.sleeping_nodes + waking_nodes_);
+    hist_.nodes_asleep->AppendSpan(state_.now, tick_, count, asleep);
   }
-
-  if (options_.record_history) {
-    const auto count = static_cast<std::size_t>(n);
-    hist_.it_power->AppendSpan(state_.now, tick_, count, power.it_power_w / 1000.0);
-    hist_.loss->AppendSpan(state_.now, tick_, count, power.loss_w / 1000.0);
-    if (!state_.cooling && !state_.multi_cooling) {
-      hist_.power->AppendSpan(state_.now, tick_, count, power.wall_power_w / 1000.0);
-    }
-    hist_.utilization->AppendSpan(state_.now, tick_, count,
-                                  power.node_utilization * 100.0);
-    hist_.queue_len->AppendSpan(state_.now, tick_, count,
-                                static_cast<double>(state_.queue.size()));
-    hist_.running->AppendSpan(state_.now, tick_, count,
-                              static_cast<double>(state_.running.size()));
-    if (hist_.throttle) {
-      hist_.throttle->AppendSpan(state_.now, tick_, count, throttle);
-    }
-    if (hist_.price) hist_.price->AppendSpan(state_.now, tick_, count, price_now);
-    if (hist_.carbon) hist_.carbon->AppendSpan(state_.now, tick_, count, carbon_now);
-    if (hist_.nodes_asleep) {
-      hist_.nodes_asleep->AppendSpan(
-          state_.now, tick_, count, static_cast<double>(sleeping_nodes + waking_nodes_));
-    }
-    if (hist_.avg_freq) {
-      const double avg =
-          power.busy_nodes > 0 ? power.busy_freq_sum / power.busy_nodes : 1.0;
-      hist_.avg_freq->AppendSpan(state_.now, tick_, count, avg);
-    }
-    if (hist_.max_inlet) {
-      // Inlet temperatures are span-constant (they are a pure function of
-      // the span's sampled heat), so the per-rack heatmap channels batch
-      // like every other electrical channel.
-      double max_inlet = config_.cooling.supply_temp_c;
-      for (double t : inlet_scratch_) max_inlet = std::max(max_inlet, t);
-      hist_.max_inlet->AppendSpan(state_.now, tick_, count, max_inlet);
-      hist_.thermal_leak->AppendSpan(state_.now, tick_, count,
-                                     thermal_leak_w_ / 1000.0);
-      for (std::size_t r = 0; r < hist_.rack_inlet.size(); ++r) {
-        hist_.rack_inlet[r]->AppendSpan(state_.now, tick_, count, rack_mean_c_[r]);
-      }
+  if (hist_.avg_freq) {
+    const double avg =
+        power.busy_nodes > 0 ? power.busy_freq_sum / power.busy_nodes : 1.0;
+    hist_.avg_freq->AppendSpan(state_.now, tick_, count, avg);
+  }
+  if (hist_.max_inlet) {
+    // Inlet temperatures are span-constant (they are a pure function of the
+    // span's sampled heat), so the per-rack heatmap channels batch like
+    // every other electrical channel.
+    double max_inlet = config_.cooling.supply_temp_c;
+    for (double t : inlet_scratch_) max_inlet = std::max(max_inlet, t);
+    hist_.max_inlet->AppendSpan(state_.now, tick_, count, max_inlet);
+    hist_.thermal_leak->AppendSpan(state_.now, tick_, count, thermal_leak_w_ / 1000.0);
+    for (std::size_t r = 0; r < hist_.rack_inlet.size(); ++r) {
+      hist_.rack_inlet[r]->AppendSpan(state_.now, tick_, count, rack_mean_c_[r]);
     }
   }
+}
 
-  if (state_.cooling) {
-    // The loop's thermal state keeps its first-order lag even when the
-    // electrical side is flat, so it (and the wall power that includes its
-    // fans/pumps) advances tick by tick within the span — as does the grid
-    // accounting, whose cost basis includes the cooling draw.
-    for (SimDuration i = 0; i < n; ++i) {
-      const CoolingSample cool = state_.cooling->Step(power.it_power_w, power.loss_w, dt);
-      const double wall_w = power.wall_power_w + cool.cooling_power_w;
-      if (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis) {
-        const double kwh = wall_w * dt / 3.6e6;
-        if (options_.capture_grid_basis) state_.tick_wall_kwh.push_back(kwh);
-        if (grid_cost_on_ || grid_co2_on_) {
-          state_.grid_cost_usd += kwh * price_now;
-          state_.grid_co2_kg += kwh * carbon_now;
-        }
-      }
+inline void SimulationEngine::AccountWallEnergy(double wall_w, SimDuration ticks,
+                                         double price, double carbon) {
+  if (!grid_cost_on_ && !grid_co2_on_ && !options_.capture_grid_basis) return;
+  const double kwh = wall_w * static_cast<double>(tick_) / 3.6e6;
+  // Replay basis: the exact per-tick kWh multiplied by the signal values
+  // below, so ReplayGridAccounting can redo the same additions under
+  // re-scaled signals bit for bit.
+  if (options_.capture_grid_basis) {
+    state_.tick_wall_kwh.insert(state_.tick_wall_kwh.end(),
+                                static_cast<std::size_t>(ticks), kwh);
+  }
+  if (grid_cost_on_ || grid_co2_on_) {
+    AddRepeated(state_.grid_cost_usd, kwh * price, ticks);
+    AddRepeated(state_.grid_co2_kg, kwh * carbon, ticks);
+  }
+}
+
+void SimulationEngine::SplitHeatByCdu(const PowerSample& power, const Span& span) {
+  if (!hr_matrix_) {
+    per_cdu_heat_scratch_.assign(1, power.it_power_w);
+    return;
+  }
+  // Placement-dependent heat split: each node's throttled draw plus its
+  // fan-leak share lands on its rack's CDU (rack r feeds CDU r % num_cdus).
+  // The split is a pure function of span-constant quantities, so it is
+  // computed once per span.
+  const int num_cdus = state_.cooling->num_cdus();
+  per_cdu_heat_scratch_.assign(static_cast<std::size_t>(num_cdus), 0.0);
+  const double supply = config_.cooling.supply_temp_c;
+  const double fan_leak = config_.cooling.topology.fan_leak_w_per_k;
+  for (std::size_t node = 0; node < node_heat_w_.size(); ++node) {
+    const bool busy = !span.idle && node_busy_w_scratch_[node] >= 0.0;
+    const double leak_share = fan_leak * std::max(0.0, inlet_scratch_[node] - supply);
+    const double q = node_heat_w_[node] * (busy ? span.throttle : 1.0) + leak_share;
+    const int cdu = hr_matrix_->RackOf(static_cast<int>(node)) % num_cdus;
+    per_cdu_heat_scratch_[static_cast<std::size_t>(cdu)] += q;
+  }
+}
+
+inline void SimulationEngine::AdvanceFacility(const PowerSample& power,
+                                              const Span& span) {
+  if (!state_.cooling) {
+    // No cooling draw: the wall power is span-constant, so the span is
+    // accounted and recorded in one batch.
+    const double wall_w = power.wall_power_w;
+    AccountWallEnergy(wall_w, span.n, span.price, span.carbon);
+    if (options_.record_history) {
+      hist_.power->AppendSpan(state_.now, tick_, static_cast<std::size_t>(span.n),
+                              wall_w / 1000.0);
+    }
+    if (!transient_on_) return;
+  }
+  StepFacilityLoops(power, span);
+}
+
+void SimulationEngine::StepFacilityLoops(const PowerSample& power, const Span& span) {
+  if (state_.cooling) SplitHeatByCdu(power, span);
+  // The cooling loop and the rack RC / CRAC state keep their first-order
+  // lags even when the electrical side is flat, so they (and the wall power
+  // that includes the loop's fans and pumps) advance tick by tick — per-tick
+  // iteration, not a closed form, is what keeps RunUntilExact's span splits
+  // bit-identical (see DESIGN.md).  The two states are independent, so each
+  // channel sees the same sample sequence as a loop of its own.  BoundSpan
+  // guarantees trip flips can only occur at the last tick, so applying flips
+  // after each tick's physics reproduces the tick-stepped order exactly.
+  const double dt = static_cast<double>(tick_);
+  for (SimDuration i = 0; i < span.n; ++i) {
+    const SimTime t = state_.now + i * tick_;
+    if (state_.cooling) {
+      const MultiCduSample mc =
+          state_.cooling->Step(per_cdu_heat_scratch_, power.loss_w, dt);
+      const CoolingSample& cool = mc.facility;
+      const double tick_wall_w = power.wall_power_w + cool.cooling_power_w;
+      AccountWallEnergy(tick_wall_w, 1, span.price, span.carbon);
       if (options_.record_history) {
-        const SimTime t = state_.now + i * tick_;
-        hist_.power->Append(t, wall_w / 1000.0);
+        hist_.power->Append(t, tick_wall_w / 1000.0);
         hist_.pue->Append(t, cool.pue);
         hist_.tower->Append(t, cool.tower_return_temp_c);
         hist_.supply->Append(t, cool.supply_temp_c);
         hist_.cooling_kw->Append(t, cool.cooling_power_w / 1000.0);
+        if (hist_.cdu_spread) hist_.cdu_spread->Append(t, mc.spread_c);
       }
     }
-  }
-
-  if (state_.multi_cooling) {
-    // Placement-dependent heat split: each node's throttled draw plus its
-    // fan-leak share lands on its rack's CDU (rack r feeds CDU r % num_cdus).
-    // The split is a pure function of span-constant quantities, so it is
-    // computed once and the per-tick loop below only advances the loops'
-    // first-order lags — mirroring the lumped-cooling branch above.
-    const int num_cdus = state_.multi_cooling->num_cdus();
-    per_cdu_heat_scratch_.assign(static_cast<std::size_t>(num_cdus), 0.0);
-    const double supply = config_.cooling.supply_temp_c;
-    const double fan_leak = config_.cooling.topology.fan_leak_w_per_k;
-    for (std::size_t node = 0; node < node_heat_w_.size(); ++node) {
-      const bool busy =
-          !use_idle_cache && node_busy_w_scratch_[node] >= 0.0;
-      const double leak_share =
-          fan_leak * std::max(0.0, inlet_scratch_[node] - supply);
-      const double q =
-          node_heat_w_[node] * (busy ? throttle : 1.0) + leak_share;
-      const int cdu = hr_matrix_->RackOf(static_cast<int>(node)) % num_cdus;
-      per_cdu_heat_scratch_[static_cast<std::size_t>(cdu)] += q;
-    }
-    for (SimDuration i = 0; i < n; ++i) {
-      const MultiCduSample mc =
-          state_.multi_cooling->Step(per_cdu_heat_scratch_, power.loss_w, dt);
-      const double wall_w = power.wall_power_w + mc.facility.cooling_power_w;
-      if (grid_cost_on_ || grid_co2_on_ || options_.capture_grid_basis) {
-        const double kwh = wall_w * dt / 3.6e6;
-        if (options_.capture_grid_basis) state_.tick_wall_kwh.push_back(kwh);
-        if (grid_cost_on_ || grid_co2_on_) {
-          state_.grid_cost_usd += kwh * price_now;
-          state_.grid_co2_kg += kwh * carbon_now;
-        }
-      }
-      if (options_.record_history) {
-        const SimTime t = state_.now + i * tick_;
-        hist_.power->Append(t, wall_w / 1000.0);
-        hist_.pue->Append(t, mc.facility.pue);
-        hist_.tower->Append(t, mc.facility.tower_return_temp_c);
-        hist_.supply->Append(t, mc.facility.supply_temp_c);
-        hist_.cooling_kw->Append(t, mc.facility.cooling_power_w / 1000.0);
-        hist_.cdu_spread->Append(t, mc.spread_c);
-      }
-    }
-  }
-
-  if (transient_on_) {
-    // Rack RC state and the CRAC loop evolve tick by tick within the span —
-    // per-tick repeated iteration, not a closed-form exponential: iteration
-    // is what keeps RunUntilExact's span splits bit-identical (see DESIGN.md).
-    // The span bound above guarantees trip flips can only occur at the last
-    // tick, so applying flips after each tick's physics reproduces the
-    // tick-stepped order exactly.
-    for (SimDuration i = 0; i < n; ++i) {
+    if (transient_on_) {
       TransientPhysicsTick(state_.crac_supply_c, state_.rack_temp_c);
       if (trip_on_ && ApplyThermalFlips()) state_.thermal_event_pending = true;
       if (options_.record_history) {
-        const SimTime t = state_.now + i * tick_;
         for (std::size_t r = 0; r < state_.rack_temp_c.size(); ++r) {
           hist_.rack_transient[r]->Append(t, state_.rack_temp_c[r]);
         }
@@ -1416,31 +1383,45 @@ SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
       }
     }
   }
+}
 
+inline void SimulationEngine::Publish(const Span& span) {
   if (grid_cost_on_ || grid_co2_on_) {
     state_.stats.SetGridTotals(state_.grid_cost_usd, state_.grid_co2_kg);
   }
-
   if (hr_matrix_) {
-    // Thermal stats: leak energy by repeated addition (tick/calendar
-    // identity, like every other accumulator) and the run-wide hottest
-    // inlet any node saw.
-    const double leak_inc = thermal_leak_w_ * dt;
-    for (SimDuration k = 0; k < n; ++k) state_.thermal_leak_j += leak_inc;
+    // Thermal stats: leak energy and the run-wide hottest inlet any node saw.
+    AddRepeated(state_.thermal_leak_j, thermal_leak_w_ * static_cast<double>(tick_),
+                span.n);
     for (const double t : inlet_scratch_) {
       state_.peak_inlet_c = std::max(state_.peak_inlet_c, t);
     }
     state_.stats.SetThermalTotals(state_.thermal_leak_j, state_.peak_inlet_c);
+    // This span's inlet temperatures feed the next scheduling pass.
+    // Scheduling only happens on event-bearing ticks, which bound calendar
+    // spans, so tick and calendar modes publish (and read) the same values.
+    state_.node_inlet_c.swap(inlet_scratch_);
   }
-
-  // Publish this span's inlet temperatures for the next scheduling pass.
-  // Scheduling only happens on event-bearing ticks, which bound calendar
-  // spans, so tick and calendar modes publish (and read) the same values.
-  if (hr_matrix_) state_.node_inlet_c.swap(inlet_scratch_);
-
-  state_.now += n * tick_;
+  state_.now += span.n * tick_;
   state_.events_this_tick = false;
-  return n;
+}
+
+SimDuration SimulationEngine::AdvanceTicks(SimDuration n) {
+  // Step (4), batched: the caller guarantees ticks 2..n are event-free with
+  // the same sampled power as tick 1, so one power/throttle computation
+  // covers the whole span, and every per-tick arithmetic in the stages
+  // repeats the tick-by-tick loop operation for operation.
+  PowerSample power;
+  Span span = SamplePower(power);
+  ApplyThermalLayer(power, span.idle);
+  span.n = BoundSpan(n);
+  CapPower(power, span);
+  DilateRuntimes(span);
+  AccumulateItEnergy(span);
+  RecordElectricalHistory(power, span);
+  AdvanceFacility(power, span);
+  Publish(span);
+  return span.n;
 }
 
 bool SimulationEngine::StepOnce() {

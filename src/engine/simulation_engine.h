@@ -30,7 +30,6 @@
 
 #include "accounts/accounts.h"
 #include "config/system_config.h"
-#include "cooling/cooling_model.h"
 #include "cooling/heat_recirculation.h"
 #include "cooling/multi_cdu.h"
 #include "grid/grid_environment.h"
@@ -141,7 +140,9 @@ struct EngineState {
   std::vector<std::pair<SimTime, JobQueue::Handle>> completions;
   double grid_cost_usd = 0.0;           ///< accumulated cost ($)
   double grid_co2_kg = 0.0;             ///< accumulated emissions (kg)
-  std::optional<CoolingModel> cooling;  ///< thermal loop state, when coupled
+  /// Cooling-loop state, present when cooling is coupled: the per-CDU model,
+  /// with one CDU when no thermal topology splits the heat by rack.
+  std::optional<MultiCduCoolingModel> cooling;
   /// Per-tick wall kWh from sim_start to `now` (empty unless the run was
   /// started with EngineOptions::capture_grid_basis).
   std::vector<double> tick_wall_kwh;
@@ -164,9 +165,6 @@ struct EngineState {
   /// no thermal topology is configured (Restore re-initialises to the
   /// supply setpoint if the config declares one).
   std::vector<double> node_inlet_c;
-  /// Per-CDU cooling-loop state, present when cooling is coupled on a
-  /// system with a thermal topology (replaces the lumped `cooling` state).
-  std::optional<MultiCduCoolingModel> multi_cooling;
   /// Running fan/leakage energy and peak inlet temperature (thermal stats).
   double thermal_leak_j = 0.0;
   double peak_inlet_c = 0.0;
@@ -197,16 +195,16 @@ void ForEachField(State& state, F&& f) {
          running, job_energy_j, completions, grid_cost_usd, grid_co2_kg, cooling,
          tick_wall_kwh, node_pstate, node_mode, wake_events, class_energy_j,
          last_wall_power_w, last_busy_power_w, power_event_pending, node_inlet_c,
-         multi_cooling, thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c,
-         rack_class_tripped, thermal_event_pending] = state;
+         thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c, rack_class_tripped,
+         thermal_event_pending] = state;
   [&f](auto&... field) { (f(field), ...); }(
       jobs, queue, rm, stats, recorder, accounts, counters, now, events_this_tick,
       submit_order, next_submit, next_outage_begin, next_outage_end, next_grid_event,
       running, job_energy_j, completions, grid_cost_usd, grid_co2_kg, cooling,
       tick_wall_kwh, node_pstate, node_mode, wake_events, class_energy_j,
       last_wall_power_w, last_busy_power_w, power_event_pending, node_inlet_c,
-      multi_cooling, thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c,
-      rack_class_tripped, thermal_event_pending);
+      thermal_leak_j, peak_inlet_c, rack_temp_c, crac_supply_c, rack_class_tripped,
+      thermal_event_pending);
 }
 
 class SimulationEngine {
@@ -423,6 +421,39 @@ class SimulationEngine {
   /// would flip a (rack, class) trip flag (TransientSpanBound), so trip and
   /// clear edges land on real step boundaries in both stepping modes.
   SimDuration AdvanceTicks(SimDuration n);
+  /// What step (4) derives for one span beside its PowerSample, handed from
+  /// stage to stage and constant across the span's ticks.  (With the sample
+  /// folded in, the aggregate stays in memory: idle ticks run ~15 % slower.)
+  struct Span {
+    SimDuration n = 1;       ///< ticks to advance (BoundSpan may truncate)
+    bool idle = false;       ///< fully idle machine: the power is idle_sample_
+    bool ps_active = false;  ///< some node is off P0 or in a C/S state
+    int sleeping_nodes = 0;  ///< nodes in C or S (waking excluded)
+    double throttle = 1.0;   ///< uniform cap factor
+    double price = 0.0;      ///< $/kWh in force
+    double carbon = 0.0;     ///< kg-CO2/kWh in force
+  };
+  // The stages of AdvanceTicks, in call order (ApplyThermalLayer, below, is
+  // the second); the definitions state what each keeps bit-identical.
+  Span SamplePower(PowerSample& power);
+  SimDuration BoundSpan(SimDuration n);
+  void CapPower(PowerSample& power, Span& span);
+  void DilateRuntimes(const Span& span);
+  void AccumulateItEnergy(const Span& span);
+  void RecordElectricalHistory(const PowerSample& power, const Span& span);
+  /// Wall-power accounting and history, the cooling loop, and the transient
+  /// rack/CRAC physics: batched without either loop, else StepFacilityLoops.
+  void AdvanceFacility(const PowerSample& power, const Span& span);
+  void Publish(const Span& span);
+  /// The one per-tick loop: advances the cooling loop (with the wall-energy
+  /// accounting its draw enters) and the transient rack/CRAC physics.
+  void StepFacilityLoops(const PowerSample& power, const Span& span);
+  /// The span's heat per CDU: the whole IT draw on one CDU without a
+  /// topology, else each node's heat on CDU RackOf(node) % num_cdus.
+  void SplitHeatByCdu(const PowerSample& power, const Span& span);
+  /// Grid cost/CO2 and the replay basis for `ticks` ticks at `wall_w`.
+  void AccountWallEnergy(double wall_w, SimDuration ticks, double price,
+                         double carbon);
   /// How many ticks the calendar may hop before the next interesting time:
   /// submit, completion, outage edge, trace-sample boundary, or sim_end.
   SimDuration SpanTicks();
@@ -483,13 +514,15 @@ class SimulationEngine {
   std::vector<double> class_w_scratch_;      ///< per-class draw from Compute()
 
   // --- thermal topology ----------------------------------------------------
-  /// Applies the thermal layer to the span's sampled power: fills
+  /// Stage 2, the thermal layer on the span's sampled power: fills
   /// node_heat_w_ (busy draw or idle/sleep draw per node), folds it through
-  /// the recirculation matrix into inlet_scratch_, and adds the
+  /// the recirculation matrix into inlet_scratch_, adds the
   /// temperature-dependent fan/leakage overhead to power's IT draw (idle
-  /// share, so cap throttling still sheds only job power).  The fully idle
-  /// machine's inlets and leak are a pure constant and are cached like
-  /// idle_sample_.  No-op unless hr_matrix_ is set.
+  /// share, so cap throttling still sheds only job power), and averages the
+  /// inlets per rack into rack_mean_c_ when the transient layer or history
+  /// reads them.  The fully idle machine's inlets and leak are a pure
+  /// constant and are cached like idle_sample_.  No-op unless hr_matrix_ is
+  /// set.
   void ApplyThermalLayer(PowerSample& power, bool machine_idle);
   std::vector<double> node_busy_w_scratch_;  ///< per-node busy draw from Compute()
   std::vector<double> node_heat_w_;          ///< per-node heat of this span
@@ -566,7 +599,7 @@ class SimulationEngine {
     Channel* avg_freq = nullptr;
     Channel* max_inlet = nullptr;     ///< hottest node inlet (thermal only)
     Channel* thermal_leak = nullptr;  ///< fan/leakage overhead kW (thermal only)
-    Channel* cdu_spread = nullptr;    ///< hottest - coldest CDU (multi-CDU only)
+    Channel* cdu_spread = nullptr;    ///< hottest - coldest CDU (cooled topology)
     std::vector<Channel*> rack_inlet;  ///< mean inlet per rack (thermal only)
     Channel* crac_supply = nullptr;    ///< CRAC supply setpoint (transient only)
     Channel* tripped_nodes = nullptr;  ///< throttled nodes (transient trips only)

@@ -138,12 +138,16 @@ void HttpServer::AcceptLoop() {
     std::thread([this, fd]() {
       ServeConnection(fd);
       {
+        // Notify under the lock: once it is released, Stop() may return and
+        // the server be destroyed, so this thread must not touch `this`
+        // after the scope ends.  The fd is closed last, outside the set, so
+        // accept() cannot reuse its number while Stop() still tracks it.
         std::lock_guard<std::mutex> lock(conn_mu_);
         open_fds_.erase(fd);
         --active_connections_;
+        conn_cv_.notify_all();
       }
       ::close(fd);
-      conn_cv_.notify_all();
     }).detach();
   }
 }

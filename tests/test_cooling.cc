@@ -1,11 +1,15 @@
 // Unit tests for src/cooling: steady state, transients, PUE, and stability
-// of the lumped thermo-fluid model.
+// of the lumped thermo-fluid model, and its identity with the one-CDU loop.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <random>
+#include <string>
 #include <vector>
 
 #include "config/system_config.h"
 #include "cooling/cooling_model.h"
+#include "cooling/multi_cdu.h"
 
 namespace sraps {
 namespace {
@@ -133,6 +137,45 @@ TEST(CoolingTest, StableUnderLongTicks) {
   }
   EXPECT_TRUE(monotone) << "temperature oscillated under long ticks";
   EXPECT_LT(m.loop_temp_c(), 100.0) << "diverged";
+}
+
+TEST(CoolingTest, LumpedLoopEqualsOneCduFacilityBitwise) {
+  // Without a thermal topology the engine couples cooling as the per-CDU
+  // model with one CDU fed the whole IT draw; its facility sample must be
+  // the lumped model's, bit for bit, at every step.
+  constexpr double CoolingSample::*kFields[] = {
+      &CoolingSample::tower_return_temp_c, &CoolingSample::supply_temp_c,
+      &CoolingSample::cdu_return_temp_c,   &CoolingSample::pump_power_w,
+      &CoolingSample::fan_power_w,         &CoolingSample::cooling_power_w,
+      &CoolingSample::heat_rejected_w,     &CoolingSample::pue};
+  for (const std::string system : {"frontier", "mini"}) {
+    for (const double dt : {1.0, 15.0}) {
+      const CoolingSpec spec = MakeSystemConfig(system).cooling;
+      CoolingSpec one = spec;
+      one.num_cdus = 1;
+      CoolingModel lumped(spec);
+      MultiCduCoolingModel cdu(one);
+      const double design_w = spec.design_it_load_kw * 1000.0;
+      std::mt19937_64 rng(7);
+      std::uniform_real_distribution<double> load(0.0, 1.2);
+      for (int i = 0; i < 12000; ++i) {
+        // Idle stretches (zero IT load, zero and non-zero loss) between
+        // random loads, so both the floor and the transient paths run.
+        const bool zero = (i / 500) % 4 == 1;
+        const double it = zero ? 0.0 : design_w * load(rng);
+        const double loss = i % 3 == 0 ? 0.0 : 0.03 * it + 200.0;
+        const CoolingSample a = lumped.Step(it, loss, dt);
+        const CoolingSample b = cdu.Step({it}, loss, dt).facility;
+        for (const auto field : kFields) {
+          ASSERT_EQ(std::memcmp(&(a.*field), &(b.*field), sizeof(double)), 0)
+              << system << " dt=" << dt << " step " << i;
+        }
+        const double ta = lumped.loop_temp_c();
+        const double tb = cdu.facility().loop_temp_c();
+        ASSERT_EQ(std::memcmp(&ta, &tb, sizeof ta), 0) << system << " step " << i;
+      }
+    }
+  }
 }
 
 // Property sweep: steady-state loop temperature rises monotonically in load.

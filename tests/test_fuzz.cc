@@ -782,16 +782,6 @@ TEST(MultiCduTest, Validation) {
   EXPECT_THROW(MultiCduCoolingModel{bad}, std::invalid_argument);
 }
 
-TEST(MultiCduTest, HeatDistributionByCabinet) {
-  // 8 nodes, 2 per cabinet, 2 CDUs: cabinets 0,2 -> CDU 0; 1,3 -> CDU 1.
-  std::vector<double> per_node = {1, 1, 2, 2, 4, 4, 8, 8};
-  const auto per_cdu = DistributeHeatByCabinet(per_node, 2, 2);
-  ASSERT_EQ(per_cdu.size(), 2u);
-  EXPECT_DOUBLE_EQ(per_cdu[0], 1 + 1 + 4 + 4);
-  EXPECT_DOUBLE_EQ(per_cdu[1], 2 + 2 + 8 + 8);
-  EXPECT_THROW(DistributeHeatByCabinet(per_node, 0, 2), std::invalid_argument);
-}
-
 TEST(MultiCduTest, SecondaryLoopLagsStep) {
   MultiCduCoolingModel m(FrontierSpec());
   const double low = FrontierSpec().design_it_load_kw * 300.0;

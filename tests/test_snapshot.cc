@@ -323,7 +323,7 @@ TEST(SnapshotTest, ThermalCountersAndStateAreDigestedAndSized) {
   sim->RunUntil(7 * kHour);
   const EngineState state = sim->engine().CaptureState();
   ASSERT_FALSE(state.node_inlet_c.empty());
-  ASSERT_TRUE(state.multi_cooling.has_value());
+  ASSERT_TRUE(state.cooling.has_value());
 
   const std::uint64_t digest = EngineStateFingerprint(state);
   EngineState trips = state;
@@ -339,9 +339,9 @@ TEST(SnapshotTest, ThermalCountersAndStateAreDigestedAndSized) {
   EXPECT_EQ(bytes - EngineStateBytes(no_inlets),
             state.node_inlet_c.size() * sizeof(double));
   EngineState no_cdus = state;
-  no_cdus.multi_cooling.reset();
+  no_cdus.cooling.reset();
   EXPECT_GE(bytes - EngineStateBytes(no_cdus),
-            state.multi_cooling->cdu_states().size() * sizeof(CduState));
+            state.cooling->cdu_states().size() * sizeof(CduState));
   EXPECT_EQ(sim->Snapshot().ApproxBytes(), sizeof(SimStateSnapshot) + bytes);
 }
 
@@ -395,8 +395,6 @@ ScenarioSpec FullStateSpec() {
 
 /// One visible change per EngineState field type.
 struct PerturbField {
-  const SystemConfig& config;
-
   template <typename T>
   void operator()(T& v) const {
     static_assert(std::is_arithmetic_v<T>);
@@ -430,13 +428,6 @@ struct PerturbField {
   }
   void operator()(AccountRegistry& accounts) const { accounts.GetOrCreate("perturbed"); }
   void operator()(EngineCounters& counters) const { ++counters.thermal_clears; }
-  void operator()(std::optional<CoolingModel>& cooling) const {
-    if (cooling) {
-      cooling.reset();
-    } else {
-      cooling.emplace(config.cooling);
-    }
-  }
   void operator()(std::optional<MultiCduCoolingModel>& cdus) const {
     cdus->Step(std::vector<double>(cdus->num_cdus(), 5e3), 0.0, 60.0);
   }
@@ -446,7 +437,7 @@ TEST(SnapshotTest, EveryEngineStateFieldIsDigested) {
   auto sim = SimulationBuilder(FullStateSpec()).Build();
   sim->RunUntil(7 * kHour);
   const EngineState base = sim->engine().CaptureState();
-  ASSERT_TRUE(base.multi_cooling.has_value());
+  ASSERT_TRUE(base.cooling.has_value());
   ASSERT_FALSE(base.rack_temp_c.empty());
   ASSERT_FALSE(base.tick_wall_kwh.empty());
   ASSERT_GT(base.counters.nodes_slept, 0u);
@@ -454,7 +445,7 @@ TEST(SnapshotTest, EveryEngineStateFieldIsDigested) {
   const std::uint64_t digest = EngineStateFingerprint(base);
   std::size_t fields = 0;
   ForEachField(base, [&fields](const auto&) { ++fields; });
-  const PerturbField perturb{sim->engine().config()};
+  const PerturbField perturb;
   for (std::size_t i = 0; i < fields; ++i) {
     EngineState state = base;
     std::size_t k = 0;
@@ -496,7 +487,6 @@ TEST(SnapshotTest, RestoreClearsStateItsOptionsLeaveUnused) {
       config, sim->engine().scheduler().Clone(ctx), options, std::move(state));
   const EngineState restored = engine->CaptureState();
   EXPECT_FALSE(restored.cooling.has_value());
-  EXPECT_FALSE(restored.multi_cooling.has_value());
   EXPECT_TRUE(restored.rack_temp_c.empty());
   EXPECT_TRUE(restored.rack_class_tripped.empty());
   EXPECT_EQ(restored.crac_supply_c, 0.0);
