@@ -235,8 +235,6 @@ struct SystemConfig {
   const NodePowerSpec& NodeSpec(int node_id) const;
   /// Machine-class index owning a global node id; throws if out of range.
   std::size_t ClassOf(int node_id) const;
-  /// Legacy name for ClassOf.
-  std::size_t PartitionOf(int node_id) const { return ClassOf(node_id); }
   /// The machine class owning a global node id; throws if out of range.
   const MachineClassSpec& MachineClassOf(int node_id) const;
   /// The class with the given name, or nullptr when absent.

@@ -5,12 +5,14 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 
 #include "common/csv.h"
 #include "dist/sweep_worker.h"
@@ -21,12 +23,6 @@ namespace sraps {
 namespace fs = std::filesystem;
 
 namespace {
-
-std::string ShardFileName(std::size_t s) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "rows-%05zu.csv", s);
-  return buf;
-}
 
 std::string DefaultWorkerBinary() {
   std::error_code ec;
@@ -58,40 +54,55 @@ pid_t SpawnWorker(const std::string& binary, const std::string& work_dir,
 
 std::vector<SweepRow> ParseShardCsv(const std::string& path,
                                     const SweepSpec& spec) {
-  const CsvTable table = CsvTable::Load(path);
-  const auto& metric_names = SweepAggregator::MetricNames();
-  // Metric/fingerprint cells were written with %.17g / %016x exactly so this
-  // strtod/strtoull round trip reproduces the producer's bits.
+  CsvRowStream csv(path);
+  const auto refuse = [&](const CsvColumn& col, const char* what) {
+    return std::runtime_error("ParseShardCsv " + csv.Where() + ": column " + col.name +
+                              ": '" + csv.Cell(col) + "' " + what);
+  };
+  const CsvColumn index_col = csv.Column("index");
+  const CsvColumn name_col = csv.Column("name");
+  const CsvColumn ok_col = csv.Column("ok");
+  const CsvColumn error_col = csv.Column("error");
+  const CsvColumn fingerprint_col = csv.Column("fingerprint");
+  std::vector<CsvColumn> axis_cols;
+  for (const SweepAxis& axis : spec.axes) axis_cols.push_back(csv.Column(axis.key));
+  std::vector<CsvColumn> metric_cols;
+  for (const std::string& name : MetricNames()) metric_cols.push_back(csv.Column(name));
+
+  // Metric/fingerprint cells were written with %.17g / %016x exactly, so
+  // this round trip reproduces the producer's bits.  Any other cell is
+  // refused rather than merged as 0.
   std::vector<SweepRow> rows;
-  rows.reserve(table.num_rows());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
+  while (csv.Next()) {
     SweepRow row;
-    row.index = static_cast<std::size_t>(
-        table.GetInt(r, "index").value_or(-1));
-    row.name = table.Cell(r, "name");
-    row.ok = table.Cell(r, "ok") == "1";
-    row.error = table.Cell(r, "error");
-    for (const SweepAxis& axis : spec.axes) {
-      row.axis_values.emplace_back(table.Cell(r, axis.key));
+    const std::optional<std::int64_t> index = csv.Int(index_col);
+    if (!index || *index < 0) throw refuse(index_col, "is not a scenario index");
+    row.index = static_cast<std::size_t>(*index);
+    row.name = csv.Cell(name_col);
+    const std::string& ok = csv.Cell(ok_col);
+    if (ok != "0" && ok != "1") throw refuse(ok_col, "is not 0 or 1");
+    row.ok = ok == "1";
+    row.error = csv.Cell(error_col);
+    for (const CsvColumn& col : axis_cols) row.axis_values.emplace_back(csv.Cell(col));
+    std::size_t m = 0;
+    ForEachMetric(row, [&](const char*, auto& field) {
+      const CsvColumn& col = metric_cols[m++];
+      const std::optional<double> value = csv.Double(col);
+      if (!value) throw refuse(col, "is empty");
+      using Field = std::decay_t<decltype(field)>;
+      if constexpr (std::is_integral_v<Field>) {
+        if (!(*value >= 0 && *value < 0x1p64 && *value == std::floor(*value))) {
+          throw refuse(col, "is not a count");
+        }
+      }
+      field = static_cast<Field>(*value);
+    });
+    const std::string& fp = csv.Cell(fingerprint_col);
+    const char* const fp_end = fp.data() + fp.size();
+    const auto [stop, ec] = std::from_chars(fp.data(), fp_end, row.fingerprint, 16);
+    if (fp.size() != 16 || ec != std::errc() || stop != fp_end) {
+      throw refuse(fingerprint_col, "is not 16 hex digits");
     }
-    double metrics[12] = {};
-    for (std::size_t m = 0; m < metric_names.size(); ++m) {
-      metrics[m] = std::strtod(table.Cell(r, metric_names[m]).c_str(), nullptr);
-    }
-    row.completed = static_cast<std::size_t>(metrics[0]);
-    row.dismissed = static_cast<std::size_t>(metrics[1]);
-    row.avg_wait_s = metrics[2];
-    row.avg_turnaround_s = metrics[3];
-    row.makespan_s = metrics[4];
-    row.total_energy_j = metrics[5];
-    row.mean_power_kw = metrics[6];
-    row.max_power_kw = metrics[7];
-    row.mean_util_pct = metrics[8];
-    row.mean_pue = metrics[9];
-    row.grid_cost_usd = metrics[10];
-    row.grid_co2_kg = metrics[11];
-    row.fingerprint =
-        std::strtoull(table.Cell(r, "fingerprint").c_str(), nullptr, 16);
     rows.push_back(std::move(row));
   }
   return rows;

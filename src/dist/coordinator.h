@@ -78,7 +78,9 @@ DistributedSweepSummary RunDistributedSweep(const SweepSpec& spec,
 /// merge input).  Metric and fingerprint cells round-trip bit-exactly
 /// (%.17g / %016x); axis values come back as raw cell strings, which is
 /// enough for folding — the merge copies shard BYTES, it never re-renders
-/// rows.  Exposed for tests and for external merge tooling.
+/// rows.  Any other malformed or empty cell (index, ok, a metric, the
+/// fingerprint) throws std::runtime_error naming the path, line and column.
+/// Exposed for tests and for external merge tooling.
 std::vector<SweepRow> ParseShardCsv(const std::string& path,
                                     const SweepSpec& spec);
 

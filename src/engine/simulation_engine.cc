@@ -10,6 +10,18 @@
 #include "common/log.h"
 
 namespace sraps {
+
+JsonValue EngineCounters::ToJson() const {
+  const auto i64 = [](std::size_t n) { return JsonValue(static_cast<std::int64_t>(n)); };
+  return JsonValue(JsonObject{{"submitted", i64(submitted)},
+                              {"started", i64(started)},
+                              {"completed", i64(completed)},
+                              {"dismissed", i64(dismissed)},
+                              {"prepopulated", i64(prepopulated)},
+                              {"scheduler_invocations", i64(scheduler_invocations)},
+                              {"scheduler_skips", i64(scheduler_skips)}});
+}
+
 namespace {
 
 constexpr SimTime kNever = std::numeric_limits<SimTime>::max();

@@ -106,6 +106,11 @@ struct EngineCounters {
   std::size_t nodes_woken = 0;            ///< completed wake transitions
   std::size_t thermal_trips = 0;          ///< (rack, class) thermal-trip edges
   std::size_t thermal_clears = 0;         ///< (rack, class) trip-clear edges
+
+  /// The job and scheduler counters (submitted through scheduler_skips) as
+  /// JSON integers: the "counters" object of experiment results.  The loop
+  /// diagnostics from calendar_steps on are left out.
+  JsonValue ToJson() const;
 };
 
 /// Every mutable field of a SimulationEngine between steps.  The engine keeps

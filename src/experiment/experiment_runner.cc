@@ -1,8 +1,10 @@
 #include "experiment/experiment_runner.h"
 
 #include <algorithm>
+#include <cinttypes>
 #include <cstdio>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 
 #include "common/thread_pool.h"
@@ -65,6 +67,8 @@ void ExtractScenarioMetrics(const Simulation& sim, ScenarioResult& r,
                             bool capture_stats_json) {
   const SimulationEngine& eng = sim.engine();
   r.counters = eng.counters();
+  r.completed = r.counters.completed;
+  r.dismissed = r.counters.dismissed;
   r.avg_wait_s = eng.stats().AvgWaitSeconds();
   r.avg_turnaround_s = eng.stats().AvgTurnaroundSeconds();
   if (!eng.stats().records().empty()) {
@@ -111,11 +115,6 @@ ScenarioResult RunScenarioSpec(ScenarioSpec spec, const std::string& output_dir,
   return r;
 }
 
-ScenarioResult ExperimentRunner::RunOne(ScenarioSpec spec,
-                                        const std::string& output_dir) const {
-  return RunScenarioSpec(std::move(spec), output_dir);
-}
-
 std::vector<ScenarioResult> ExperimentRunner::RunAll(const ExperimentOptions& options) {
   if (scenarios_.empty()) {
     throw std::invalid_argument("ExperimentRunner: no scenarios added");
@@ -141,7 +140,7 @@ std::vector<ScenarioResult> ExperimentRunner::RunAll(const ExperimentOptions& op
 
   std::vector<ScenarioResult> results(specs.size());
   ParallelIndexFor(specs.size(), options.threads, [&](std::size_t i) {
-    results[i] = RunOne(std::move(specs[i]), options.output_dir);
+    results[i] = RunScenarioSpec(std::move(specs[i]), options.output_dir);
     // Record the *pre-substitution* spec: it still names the dataset, so
     // the JSON export describes a reproducible run instead of carrying
     // (unserialisable) injected jobs.
@@ -174,11 +173,39 @@ std::string ComparisonTable(const std::vector<ScenarioResult>& results) {
   return out;
 }
 
+std::string FingerprintHex(std::uint64_t fp) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "%016" PRIx64, fp);
+  return buf;
+}
+
+const std::vector<std::string>& MetricNames() {
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    const RunMetrics m;
+    ForEachMetric(m, [&](const char* name, const auto&) { names.emplace_back(name); });
+    return names;
+  }();
+  return kNames;
+}
+
+JsonObject RunMetricsJson(const RunMetrics& m) {
+  JsonObject obj;
+  ForEachMetric(m, [&](const char* name, const auto& value) {
+    if constexpr (std::is_integral_v<std::decay_t<decltype(value)>>) {
+      obj[name] = JsonValue(static_cast<std::int64_t>(value));
+    } else {
+      obj[name] = value;
+    }
+  });
+  return obj;
+}
+
 JsonValue ResultsToJson(const std::vector<ScenarioResult>& results) {
   JsonArray scenarios;
   scenarios.reserve(results.size());
   for (const ScenarioResult& r : results) {
-    JsonObject obj;
+    JsonObject obj = r.ok ? RunMetricsJson(r) : JsonObject{};
     obj["name"] = r.name;
     obj["ok"] = r.ok;
     obj["spec"] = r.spec.ToJson();
@@ -187,28 +214,7 @@ JsonValue ResultsToJson(const std::vector<ScenarioResult>& results) {
       scenarios.emplace_back(std::move(obj));
       continue;
     }
-    JsonObject counters;
-    counters["submitted"] = JsonValue(static_cast<std::int64_t>(r.counters.submitted));
-    counters["started"] = JsonValue(static_cast<std::int64_t>(r.counters.started));
-    counters["completed"] = JsonValue(static_cast<std::int64_t>(r.counters.completed));
-    counters["dismissed"] = JsonValue(static_cast<std::int64_t>(r.counters.dismissed));
-    counters["prepopulated"] =
-        JsonValue(static_cast<std::int64_t>(r.counters.prepopulated));
-    counters["scheduler_invocations"] =
-        JsonValue(static_cast<std::int64_t>(r.counters.scheduler_invocations));
-    counters["scheduler_skips"] =
-        JsonValue(static_cast<std::int64_t>(r.counters.scheduler_skips));
-    obj["counters"] = JsonValue(std::move(counters));
-    obj["avg_wait_s"] = r.avg_wait_s;
-    obj["avg_turnaround_s"] = r.avg_turnaround_s;
-    obj["makespan_s"] = r.makespan_s;
-    obj["total_energy_j"] = r.total_energy_j;
-    obj["grid_cost_usd"] = r.grid_cost_usd;
-    obj["grid_co2_kg"] = r.grid_co2_kg;
-    obj["mean_power_kw"] = r.mean_power_kw;
-    obj["max_power_kw"] = r.max_power_kw;
-    obj["mean_util_pct"] = r.mean_util_pct;
-    obj["mean_pue"] = r.mean_pue;
+    obj["counters"] = r.counters.ToJson();
     obj["sim_start"] = JsonValue(static_cast<std::int64_t>(r.sim_start));
     obj["sim_end"] = JsonValue(static_cast<std::int64_t>(r.sim_end));
     obj["wall_seconds"] = r.wall_seconds;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/json.h"
@@ -27,9 +28,65 @@
 
 namespace sraps {
 
+/// The per-scenario outcomes every metric surface reports: sweep shard
+/// columns, aggregates.json, the serve reply's "metrics" object and
+/// ResultsToJson.  ForEachMetric below is the one list of them, in output
+/// order; a field added here but not there fails to compile.
+struct RunMetrics {
+  std::size_t completed = 0;     ///< jobs completed
+  std::size_t dismissed = 0;     ///< jobs dismissed
+  double avg_wait_s = 0.0;       ///< mean queue wait
+  double avg_turnaround_s = 0.0; ///< mean submit-to-end
+  /// Workload completion span: last completion end − first submit over the
+  /// completed-job records (0 when nothing completed).  The energy-vs-
+  /// makespan Pareto frontier of sweeps uses this as its time objective.
+  double makespan_s = 0.0;
+  double total_energy_j = 0.0;  ///< summed completed-job energy
+  double mean_power_kw = 0.0;   ///< 0 when history recording is off
+  double max_power_kw = 0.0;
+  double mean_util_pct = 0.0;
+  double mean_pue = 0.0;        ///< 0 when cooling is off
+  /// Signal-integrated wall-energy cost / emissions (0 without a grid
+  /// block) — the Pareto objectives grid sweeps trade against makespan.
+  double grid_cost_usd = 0.0;
+  double grid_co2_kg = 0.0;
+};
+
+/// Calls `f(name, field)` on every metric of `m` (a RunMetrics or a type
+/// derived from it) in output order.  The structured binding must name every
+/// member, so a metric added to RunMetrics but not listed here fails to
+/// compile.  Counts are std::size_t fields, everything else a double.
+template <typename Metrics, typename F>
+void ForEachMetric(Metrics& m, F&& f) {
+  using Base = std::conditional_t<std::is_const_v<Metrics>, const RunMetrics, RunMetrics>;
+  auto& [completed, dismissed, avg_wait_s, avg_turnaround_s, makespan_s, total_energy_j,
+         mean_power_kw, max_power_kw, mean_util_pct, mean_pue, grid_cost_usd,
+         grid_co2_kg] = static_cast<Base&>(m);
+  f("completed", completed);
+  f("dismissed", dismissed);
+  f("avg_wait_s", avg_wait_s);
+  f("avg_turnaround_s", avg_turnaround_s);
+  f("makespan_s", makespan_s);
+  f("total_energy_j", total_energy_j);
+  f("mean_power_kw", mean_power_kw);
+  f("max_power_kw", max_power_kw);
+  f("mean_util_pct", mean_util_pct);
+  f("mean_pue", mean_pue);
+  f("grid_cost_usd", grid_cost_usd);
+  f("grid_co2_kg", grid_co2_kg);
+}
+
+/// The metric names, in ForEachMetric order.
+const std::vector<std::string>& MetricNames();
+
+/// The metrics as one JSON object: counts as integers, the rest as numbers.
+JsonObject RunMetricsJson(const RunMetrics& m);
+
 /// Everything one scenario variant produced.  On failure `ok` is false and
-/// `error` carries the exception text; the other variants still run.
-struct ScenarioResult {
+/// `error` carries the exception text; the other variants still run.  The
+/// RunMetrics base holds the summary metrics (`completed`/`dismissed` equal
+/// `counters.completed`/`counters.dismissed`).
+struct ScenarioResult : RunMetrics {
   std::string name;
   /// The variant as added (pre job-set substitution), so it still names the
   /// dataset and round-trips through JSON as a reproducible description.
@@ -40,21 +97,6 @@ struct ScenarioResult {
   std::string error;
 
   EngineCounters counters;
-  double avg_wait_s = 0.0;
-  double avg_turnaround_s = 0.0;
-  /// Workload completion span: last completion end − first submit over the
-  /// completed-job records (0 when nothing completed).  The energy-vs-
-  /// makespan Pareto frontier of sweeps uses this as its time objective.
-  double makespan_s = 0.0;
-  double total_energy_j = 0.0;
-  /// Signal-integrated wall-energy cost / emissions (0 without a grid
-  /// block) — the Pareto objectives grid sweeps trade against makespan.
-  double grid_cost_usd = 0.0;
-  double grid_co2_kg = 0.0;
-  double mean_power_kw = 0.0;   ///< 0 when history recording is off
-  double max_power_kw = 0.0;
-  double mean_util_pct = 0.0;
-  double mean_pue = 0.0;        ///< 0 when cooling is off
   SimTime sim_start = 0;
   SimTime sim_end = 0;
   double wall_seconds = 0.0;
@@ -63,6 +105,9 @@ struct ScenarioResult {
   std::uint64_t fingerprint = 0;
   JsonValue stats;              ///< full SimulationStats::ToJson()
 };
+
+/// A fingerprint as shard cells and serve replies carry it: 16 hex digits.
+std::string FingerprintHex(std::uint64_t fp);
 
 /// Builds and runs ONE scenario, extracting the summary metrics every
 /// experiment/sweep row needs.  Failures are captured in the result
@@ -121,7 +166,6 @@ class ExperimentRunner {
 
  private:
   void EnsureJobsLoaded();
-  ScenarioResult RunOne(ScenarioSpec spec, const std::string& output_dir) const;
 
   ScenarioSpec base_;
   std::vector<ScenarioSpec> scenarios_;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -25,12 +24,6 @@ std::uint64_t Fnv64Str(const std::string& s) {
     h *= 1099511628211ULL;
   }
   return h;
-}
-
-std::string HexFingerprint(std::uint64_t fp) {
-  char buf[20];
-  std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(fp));
-  return buf;
 }
 
 ServeReply ErrorReply(int status, const std::string& message, int retry_after = 0) {
@@ -305,24 +298,11 @@ ServeReply ScenarioService::ComputeWhatIf(Base& base, const GridEnvironment& gri
 
     // Deterministic 200 body: pure function of (base, grid).  No wall-clock,
     // latency, or cache state in here — those live in /stats.
-    JsonObject metrics;
-    metrics["completed"] = JsonValue(static_cast<std::int64_t>(res.counters.completed));
-    metrics["dismissed"] = JsonValue(static_cast<std::int64_t>(res.counters.dismissed));
-    metrics["avg_wait_s"] = res.avg_wait_s;
-    metrics["avg_turnaround_s"] = res.avg_turnaround_s;
-    metrics["makespan_s"] = res.makespan_s;
-    metrics["total_energy_j"] = res.total_energy_j;
-    metrics["mean_power_kw"] = res.mean_power_kw;
-    metrics["max_power_kw"] = res.max_power_kw;
-    metrics["mean_util_pct"] = res.mean_util_pct;
-    metrics["mean_pue"] = res.mean_pue;
-    metrics["grid_cost_usd"] = res.grid_cost_usd;
-    metrics["grid_co2_kg"] = res.grid_co2_kg;
     JsonObject body;
     body["base"] = base.name;
     body["grid"] = JsonValue::Parse(grid_json);
-    body["metrics"] = JsonValue(std::move(metrics));
-    body["fingerprint"] = HexFingerprint(res.fingerprint);
+    body["metrics"] = JsonValue(RunMetricsJson(res));
+    body["fingerprint"] = FingerprintHex(res.fingerprint);
     return ServeReply{200, JsonValue(std::move(body)).Dump(2) + "\n", 0};
   } catch (const std::invalid_argument& e) {
     return ErrorReply(400, e.what());  // ForkWithGrid guard text, verbatim

@@ -1,9 +1,7 @@
 #include "sweep/sweep_runner.h"
 
 #include <algorithm>
-#include <array>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -21,37 +19,6 @@
 namespace sraps {
 namespace {
 
-constexpr std::size_t kNumMetrics = 12;
-// Named positions into the metric arrays below; MetricNamesImpl and
-// MetricsOf must stay in this order.
-constexpr std::size_t kMetricCompleted = 0;
-constexpr std::size_t kMetricMakespan = 4;
-constexpr std::size_t kMetricEnergy = 5;
-constexpr std::size_t kMetricGridCost = 10;
-
-const std::vector<std::string>& MetricNamesImpl() {
-  static const std::vector<std::string> kNames = {
-      "completed", "dismissed", "avg_wait_s", "avg_turnaround_s", "makespan_s",
-      "total_energy_j", "mean_power_kw", "max_power_kw", "mean_util_pct", "mean_pue",
-      "grid_cost_usd", "grid_co2_kg"};
-  return kNames;
-}
-
-std::array<double, kNumMetrics> MetricsOf(const SweepRow& row) {
-  return {static_cast<double>(row.completed),
-          static_cast<double>(row.dismissed),
-          row.avg_wait_s,
-          row.avg_turnaround_s,
-          row.makespan_s,
-          row.total_energy_j,
-          row.mean_power_kw,
-          row.max_power_kw,
-          row.mean_util_pct,
-          row.mean_pue,
-          row.grid_cost_usd,
-          row.grid_co2_kg};
-}
-
 /// Deterministic shortest-round-trip-free formatting: 17 significant digits
 /// reproduce the double bit pattern exactly, so shard bytes hash stably.
 std::string FormatDouble(double v) {
@@ -60,10 +27,26 @@ std::string FormatDouble(double v) {
   return buf;
 }
 
-std::string FormatFingerprint(std::uint64_t fp) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%016" PRIx64, fp);
-  return buf;
+/// The name ForEachMetric gives the RunMetrics member `field`.
+const char* MetricName(double RunMetrics::*field) {
+  const RunMetrics m;
+  const char* found = nullptr;
+  ForEachMetric(m, [&](const char* name, const auto& value) {
+    if (static_cast<const void*>(&value) == &(m.*field)) found = name;
+  });
+  return found;
+}
+
+/// One Pareto point: its index, name, objective value and makespan.
+JsonValue ParetoPointJson(std::size_t index, const std::string& name,
+                          double RunMetrics::*objective, double value,
+                          double makespan_s) {
+  JsonObject point;
+  point["index"] = JsonValue(static_cast<std::int64_t>(index));
+  point["name"] = name;
+  point[MetricName(objective)] = value;
+  point[MetricName(&RunMetrics::makespan_s)] = makespan_s;
+  return JsonValue(std::move(point));
 }
 
 /// Axis values render as bare strings (no JSON quotes) so CSV cells read
@@ -76,26 +59,38 @@ std::string AxisCell(const JsonValue& v) {
 
 SweepRow RowFromResult(const ScenarioResult& result, std::size_t index,
                        std::vector<JsonValue> axis_values) {
-  SweepRow row;
-  row.index = index;
-  row.name = result.name;
-  row.axis_values = std::move(axis_values);
-  row.ok = result.ok;
-  row.error = result.error;
-  row.completed = result.counters.completed;
-  row.dismissed = result.counters.dismissed;
-  row.avg_wait_s = result.avg_wait_s;
-  row.avg_turnaround_s = result.avg_turnaround_s;
-  row.makespan_s = result.makespan_s;
-  row.total_energy_j = result.total_energy_j;
-  row.mean_power_kw = result.mean_power_kw;
-  row.max_power_kw = result.max_power_kw;
-  row.mean_util_pct = result.mean_util_pct;
-  row.mean_pue = result.mean_pue;
-  row.grid_cost_usd = result.grid_cost_usd;
-  row.grid_co2_kg = result.grid_co2_kg;
-  row.fingerprint = result.fingerprint;
-  return row;
+  return {result, index, result.name, std::move(axis_values), result.ok, result.error,
+          result.fingerprint};
+}
+
+std::string ShardFileName(std::size_t s) {
+  char name[32];
+  std::snprintf(name, sizeof name, "rows-%05zu.csv", s);
+  return name;
+}
+
+std::vector<std::string> ShardHeader(const SweepSpec& spec) {
+  std::vector<std::string> header = {"index", "name"};
+  for (const SweepAxis& axis : spec.axes) header.push_back(axis.key);
+  for (const char* col : {"ok", "error"}) header.emplace_back(col);
+  for (const std::string& metric : MetricNames()) header.push_back(metric);
+  header.emplace_back("fingerprint");
+  return header;
+}
+
+std::vector<std::string> ShardCells(const SweepRow& row) {
+  std::vector<std::string> cells;
+  cells.reserve(5 + row.axis_values.size() + MetricNames().size());
+  cells.push_back(std::to_string(row.index));
+  cells.push_back(row.name);
+  for (const JsonValue& v : row.axis_values) cells.push_back(AxisCell(v));
+  cells.push_back(row.ok ? "1" : "0");
+  cells.push_back(row.error);
+  ForEachMetric(row, [&](const char*, const auto& value) {
+    cells.push_back(FormatDouble(static_cast<double>(value)));
+  });
+  cells.push_back(FingerprintHex(row.fingerprint));
+  return cells;
 }
 
 JsonValue MetricSummary::ToJson() const {
@@ -118,25 +113,15 @@ JsonValue SweepAggregates::ToJson() const {
   for (const auto& [name, summary] : metrics) metric_obj[name] = summary.ToJson();
   obj["metrics"] = JsonValue(std::move(metric_obj));
   JsonArray pareto_array;
-  pareto_array.reserve(pareto.size());
   for (const ParetoPoint& p : pareto) {
-    JsonObject point;
-    point["index"] = JsonValue(static_cast<std::int64_t>(p.index));
-    point["name"] = p.name;
-    point["total_energy_j"] = p.total_energy_j;
-    point["makespan_s"] = p.makespan_s;
-    pareto_array.emplace_back(std::move(point));
+    pareto_array.push_back(ParetoPointJson(p.index, p.name, &RunMetrics::total_energy_j,
+                                           p.total_energy_j, p.makespan_s));
   }
   obj["pareto"] = JsonValue(std::move(pareto_array));
   JsonArray cost_array;
-  cost_array.reserve(pareto_cost.size());
   for (const CostParetoPoint& p : pareto_cost) {
-    JsonObject point;
-    point["index"] = JsonValue(static_cast<std::int64_t>(p.index));
-    point["name"] = p.name;
-    point["grid_cost_usd"] = p.grid_cost_usd;
-    point["makespan_s"] = p.makespan_s;
-    cost_array.emplace_back(std::move(point));
+    cost_array.push_back(ParetoPointJson(p.index, p.name, &RunMetrics::grid_cost_usd,
+                                         p.grid_cost_usd, p.makespan_s));
   }
   obj["pareto_cost"] = JsonValue(std::move(cost_array));
   return JsonValue(std::move(obj));
@@ -146,16 +131,12 @@ struct SweepAggregator::Slot {
   bool folded = false;
   bool ok = false;
   std::string name;
-  std::array<double, kNumMetrics> metrics{};
+  RunMetrics metrics;
 };
 
 SweepAggregator::SweepAggregator(std::size_t total) : slots_(total) {}
 
 SweepAggregator::~SweepAggregator() = default;
-
-const std::vector<std::string>& SweepAggregator::MetricNames() {
-  return MetricNamesImpl();
-}
 
 void SweepAggregator::Fold(const SweepRow& row) {
   if (row.index >= slots_.size()) {
@@ -171,8 +152,7 @@ void SweepAggregator::Fold(const SweepRow& row) {
   slot.folded = true;
   slot.ok = row.ok;
   slot.name = row.name;
-  slot.metrics = MetricsOf(row);
-  ++folded_;
+  slot.metrics = row;
 }
 
 SweepAggregates SweepAggregator::Finalize() const {
@@ -189,13 +169,17 @@ SweepAggregates SweepAggregator::Finalize() const {
   if (agg.ok_count > 0) {
     // Index order throughout: sums and quantiles see the same sequence no
     // matter which thread finished which scenario first.
-    std::vector<double> values;
-    values.reserve(agg.ok_count);
-    for (std::size_t m = 0; m < kNumMetrics; ++m) {
-      values.clear();
-      for (const Slot& slot : slots_) {
-        if (slot.folded && slot.ok) values.push_back(slot.metrics[m]);
-      }
+    std::vector<std::vector<double>> columns(MetricNames().size());
+    for (std::vector<double>& column : columns) column.reserve(agg.ok_count);
+    for (const Slot& slot : slots_) {
+      if (!slot.folded || !slot.ok) continue;
+      std::size_t m = 0;
+      ForEachMetric(slot.metrics, [&](const char*, const auto& value) {
+        columns[m++].push_back(static_cast<double>(value));
+      });
+    }
+    for (std::size_t m = 0; m < columns.size(); ++m) {
+      const std::vector<double>& values = columns[m];
       MetricSummary summary;
       summary.mean = Mean(values);
       summary.min = Min(values);
@@ -203,72 +187,59 @@ SweepAggregates SweepAggregator::Finalize() const {
       summary.p50 = Percentile(values, 50);
       summary.p90 = Percentile(values, 90);
       summary.p99 = Percentile(values, 99);
-      agg.metrics.emplace_back(MetricNamesImpl()[m], summary);
+      agg.metrics.emplace_back(MetricNames()[m], summary);
     }
   }
 
-  // Pareto frontier over (energy, makespan), both minimised, among rows
+  // Pareto frontiers over (objective, makespan), both minimised, among rows
   // that completed at least one job (an empty run trivially "wins" both
-  // objectives and would poison the frontier).
-  struct Candidate {
-    std::size_t index;
-    double energy;
-    double makespan;
+  // objectives and would poison the frontier).  Returns the frontier's
+  // indices by objective ascending (makespan therefore descending).
+  const auto candidate = [&](std::size_t i) {
+    const Slot& slot = slots_[i];
+    return slot.folded && slot.ok && slot.metrics.completed > 0;
   };
-  std::vector<Candidate> candidates;
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.folded && slot.ok && slot.metrics[kMetricCompleted] > 0) {
-      candidates.push_back({i, slot.metrics[kMetricEnergy],
-                            slot.metrics[kMetricMakespan]});
+  const auto frontier = [&](double RunMetrics::*objective, bool positive_only) {
+    std::vector<std::size_t> order;
+    for (std::size_t i = 0; i < slots_.size(); ++i) {
+      if (candidate(i) && (!positive_only || slots_[i].metrics.*objective > 0)) {
+        order.push_back(i);
+      }
     }
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.energy != b.energy) return a.energy < b.energy;
-              if (a.makespan != b.makespan) return a.makespan < b.makespan;
-              return a.index < b.index;
-            });
-  std::vector<bool> on_frontier(slots_.size(), false);
-  double best_makespan = 0.0;
-  for (const Candidate& c : candidates) {
-    if (!agg.pareto.empty() && c.makespan >= best_makespan) continue;
-    best_makespan = c.makespan;
-    on_frontier[c.index] = true;
-    agg.pareto.push_back({c.index, slots_[c.index].name, c.energy, c.makespan});
-  }
-  agg.points.reserve(candidates.size());
-  for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.folded && slot.ok && slot.metrics[kMetricCompleted] > 0) {
-      agg.points.push_back({i, slot.metrics[kMetricEnergy],
-                            slot.metrics[kMetricMakespan], on_frontier[i]});
+    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+      const RunMetrics& x = slots_[a].metrics;
+      const RunMetrics& y = slots_[b].metrics;
+      if (x.*objective != y.*objective) return x.*objective < y.*objective;
+      if (x.makespan_s != y.makespan_s) return x.makespan_s < y.makespan_s;
+      return a < b;
+    });
+    std::vector<std::size_t> front;
+    for (const std::size_t i : order) {
+      const double makespan = slots_[i].metrics.makespan_s;
+      if (!front.empty() && makespan >= slots_[front.back()].metrics.makespan_s) continue;
+      front.push_back(i);
     }
-  }
+    return front;
+  };
 
-  // Second frontier over (grid cost, makespan) — only rows that actually
-  // accrued a cost participate, so sweeps without a price signal get an
-  // empty frontier rather than a degenerate all-zero one.
-  std::vector<Candidate> cost_candidates;
+  std::vector<bool> on_frontier(slots_.size(), false);
+  for (const std::size_t i : frontier(&RunMetrics::total_energy_j, false)) {
+    const RunMetrics& m = slots_[i].metrics;
+    on_frontier[i] = true;
+    agg.pareto.push_back({i, slots_[i].name, m.total_energy_j, m.makespan_s});
+  }
   for (std::size_t i = 0; i < slots_.size(); ++i) {
-    const Slot& slot = slots_[i];
-    if (slot.folded && slot.ok && slot.metrics[kMetricCompleted] > 0 &&
-        slot.metrics[kMetricGridCost] > 0) {
-      cost_candidates.push_back(
-          {i, slot.metrics[kMetricGridCost], slot.metrics[kMetricMakespan]});
+    const RunMetrics& m = slots_[i].metrics;
+    if (candidate(i)) {
+      agg.points.push_back({i, m.total_energy_j, m.makespan_s, on_frontier[i]});
     }
   }
-  std::sort(cost_candidates.begin(), cost_candidates.end(),
-            [](const Candidate& a, const Candidate& b) {
-              if (a.energy != b.energy) return a.energy < b.energy;
-              if (a.makespan != b.makespan) return a.makespan < b.makespan;
-              return a.index < b.index;
-            });
-  best_makespan = 0.0;
-  for (const Candidate& c : cost_candidates) {
-    if (!agg.pareto_cost.empty() && c.makespan >= best_makespan) continue;
-    best_makespan = c.makespan;
-    agg.pareto_cost.push_back({c.index, slots_[c.index].name, c.energy, c.makespan});
+  // The (grid cost, makespan) frontier admits only rows that actually
+  // accrued a cost, so sweeps without a price signal get an empty frontier
+  // rather than a degenerate all-zero one.
+  for (const std::size_t i : frontier(&RunMetrics::grid_cost_usd, true)) {
+    const RunMetrics& m = slots_[i].metrics;
+    agg.pareto_cost.push_back({i, slots_[i].name, m.grid_cost_usd, m.makespan_s});
   }
   return agg;
 }
@@ -294,11 +265,7 @@ void WriteSweepArtifacts(const std::string& output_dir, const SweepSpec& spec,
   manifest["scenario_count"] = JsonValue(static_cast<std::int64_t>(total));
   manifest["shard_size"] = JsonValue(static_cast<std::int64_t>(shard_size));
   JsonArray shard_names;
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    char name[32];
-    std::snprintf(name, sizeof name, "rows-%05zu.csv", s);
-    shard_names.emplace_back(std::string(name));
-  }
+  for (std::size_t s = 0; s < num_shards; ++s) shard_names.emplace_back(ShardFileName(s));
   manifest["shards"] = JsonValue(std::move(shard_names));
   manifest["spec"] = spec.ToJson();
   std::ofstream out(output_dir + "/manifest.json");
@@ -392,13 +359,7 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
     return std::min(shard_size, total - s * shard_size);
   };
 
-  std::vector<std::string> header = {"index", "name"};
-  for (const SweepAxis& axis : spec_.axes) header.push_back(axis.key);
-  for (const char* col : {"ok", "error"}) header.emplace_back(col);
-  for (const std::string& metric : SweepAggregator::MetricNames()) {
-    header.push_back(metric);
-  }
-  header.emplace_back("fingerprint");
+  const std::vector<std::string> header = ShardHeader(spec_);
 
   // Shard buffers hold formatted cells only until the shard's last row
   // lands, then the shard is written (rows in index order) and freed.
@@ -413,21 +374,6 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
   summary.total = end - begin;
   summary.shard_paths.resize(spill ? num_shards : 0);
   std::mutex mu;
-
-  auto format_row = [&](const SweepRow& row) {
-    std::vector<std::string> cells;
-    cells.reserve(header.size());
-    cells.push_back(std::to_string(row.index));
-    cells.push_back(row.name);
-    for (const JsonValue& v : row.axis_values) cells.push_back(AxisCell(v));
-    cells.push_back(row.ok ? "1" : "0");
-    cells.push_back(row.error);
-    for (const double metric : MetricsOf(row)) {
-      cells.push_back(FormatDouble(metric));
-    }
-    cells.push_back(FormatFingerprint(row.fingerprint));
-    return cells;
-  };
 
   std::string io_error;  // first shard-write failure; rethrown after join
 
@@ -483,7 +429,7 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
   auto fold_row = [&](SweepRow row) {
     const std::size_t i = row.index;
     std::vector<std::string> cells;
-    if (spill) cells = format_row(row);
+    if (spill) cells = ShardCells(row);
 
     // Under the mutex: fold + shard bookkeeping only.  Serialisation and
     // the disk write happen after release so a flush never stalls the
@@ -519,9 +465,7 @@ SweepSummary SweepRunner::Run(const SweepOptions& options) {
     if (complete_shard != num_shards) {
       CsvWriter writer(header);
       for (std::vector<std::string>& r : complete_rows) writer.AddRow(std::move(r));
-      char name[32];
-      std::snprintf(name, sizeof name, "rows-%05zu.csv", complete_shard);
-      const std::string path = options.output_dir + "/" + name;
+      const std::string path = options.output_dir + "/" + ShardFileName(complete_shard);
       try {
         writer.Save(path);
         // Distinct slot per shard: no lock needed for the path record.

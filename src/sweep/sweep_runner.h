@@ -3,8 +3,8 @@
 // atomic cursor, expand each scenario lazily (sweep_spec.h), run it, and
 // fold the result into
 //
-//   * a compact SweepRow (~200 B of scalars — no history, no stats JSON,
-//     no Simulation survives the fold), and
+//   * a compact SweepRow (RunMetrics plus its name, axis values and error
+//     text — no history, no stats JSON, no Simulation survives it), and
 //   * index-ordered CSV shards, written to disk the moment every row of a
 //     shard has completed and then freed,
 //
@@ -32,31 +32,29 @@
 namespace sraps {
 
 /// The compact per-scenario record retained after the fold.
-struct SweepRow {
+struct SweepRow : RunMetrics {
   std::size_t index = 0;               ///< scenario index within the sweep
   std::string name;                    ///< "<sweep>-<zero-padded index>"
   std::vector<JsonValue> axis_values;  ///< in sweep-axis order
   bool ok = false;                     ///< false: `error` carries the throw text
   std::string error;                   ///< failure message (empty when ok)
-  std::size_t completed = 0;           ///< jobs completed
-  std::size_t dismissed = 0;           ///< jobs dismissed
-  double avg_wait_s = 0.0;             ///< mean queue wait
-  double avg_turnaround_s = 0.0;       ///< mean submit-to-end
-  double makespan_s = 0.0;             ///< completion span (see ScenarioResult)
-  double total_energy_j = 0.0;         ///< summed completed-job energy
-  double mean_power_kw = 0.0;          ///< 0 when history recording is off
-  double max_power_kw = 0.0;           ///< peak recorded wall power
-  double mean_util_pct = 0.0;          ///< mean node utilisation
-  double mean_pue = 0.0;               ///< 0 when cooling is off
-  /// Grid-signal-integrated cost/emissions (0 without a "grid" block).
-  double grid_cost_usd = 0.0;
-  double grid_co2_kg = 0.0;
   std::uint64_t fingerprint = 0;  ///< completion-record digest (determinism probe)
 };
 
 /// Projects a ScenarioResult onto the compact row.
 SweepRow RowFromResult(const ScenarioResult& result, std::size_t index,
                        std::vector<JsonValue> axis_values);
+
+/// The file name of shard `s`: rows-NNNNN.csv.
+std::string ShardFileName(std::size_t s);
+
+/// The columns of a rows-*.csv shard: index, name, the axis keys, ok, error,
+/// MetricNames(), fingerprint.
+std::vector<std::string> ShardHeader(const SweepSpec& spec);
+
+/// One shard row's cells in ShardHeader order: every metric as %.17g of its
+/// double (an exact round trip), the fingerprint as FingerprintHex.
+std::vector<std::string> ShardCells(const SweepRow& row);
 
 /// Summary statistics of one metric across the sweep's successful rows.
 struct MetricSummary {
@@ -102,8 +100,8 @@ struct SweepAggregates {
   std::size_t total = 0;
   std::size_t ok_count = 0;
   std::size_t failed_count = 0;
-  /// One (metric name, summary) pair per SweepAggregator::MetricNames()
-  /// entry, in that order.  Empty when no scenario succeeded.
+  /// One (metric name, summary) pair per MetricNames() entry, in that
+  /// order.  Empty when no scenario succeeded.
   std::vector<std::pair<std::string, MetricSummary>> metrics;
   /// Sorted by energy ascending (makespan therefore descending).
   std::vector<ParetoPoint> pareto;
@@ -130,19 +128,13 @@ class SweepAggregator {
   /// double fold of the same index.
   void Fold(const SweepRow& row);
 
-  std::size_t folded() const { return folded_; }
-
   /// Reduces every folded row in index order.  Rows never folded (a killed
   /// sweep) count as failed.
   SweepAggregates Finalize() const;
 
-  /// The metric columns aggregated, in output order.
-  static const std::vector<std::string>& MetricNames();
-
  private:
   struct Slot;
   std::vector<Slot> slots_;
-  std::size_t folded_ = 0;
 };
 
 struct SweepOptions {

@@ -71,14 +71,14 @@ TEST(NodePowerSpecTest, IdleIncludesStaticShares) {
   EXPECT_DOUBLE_EQ(s.IdleW(), 100 + 20 + 10 + 60);
 }
 
-TEST(SystemConfigTest, PartitionOfMapsGlobalIds) {
+TEST(SystemConfigTest, ClassOfMapsGlobalIds) {
   const SystemConfig c = MakeSystemConfig("mini");  // 8 cpu + 8 gpu nodes
-  EXPECT_EQ(c.PartitionOf(0), 0u);
-  EXPECT_EQ(c.PartitionOf(7), 0u);
-  EXPECT_EQ(c.PartitionOf(8), 1u);
-  EXPECT_EQ(c.PartitionOf(15), 1u);
-  EXPECT_THROW(c.PartitionOf(16), std::out_of_range);
-  EXPECT_THROW(c.PartitionOf(-1), std::out_of_range);
+  EXPECT_EQ(c.ClassOf(0), 0u);
+  EXPECT_EQ(c.ClassOf(7), 0u);
+  EXPECT_EQ(c.ClassOf(8), 1u);
+  EXPECT_EQ(c.ClassOf(15), 1u);
+  EXPECT_THROW(c.ClassOf(16), std::out_of_range);
+  EXPECT_THROW(c.ClassOf(-1), std::out_of_range);
 }
 
 TEST(SystemConfigTest, NodeSpecFollowsPartition) {

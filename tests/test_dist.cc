@@ -451,5 +451,96 @@ TEST(DistributedSweepTest, ParseShardCsvRoundTripsRowScalarsExactly) {
   }
 }
 
+/// Rewrites the cell of `column` on the first data row of the shard at
+/// `path` (shard cells hold no quoted commas).
+void CorruptCell(const std::string& path, const std::string& column,
+                 const std::string& cell) {
+  std::istringstream in(ReadFile(path));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  const auto split = [](const std::string& line) {
+    std::vector<std::string> cells;
+    std::stringstream ss(line);
+    for (std::string c; std::getline(ss, c, ',');) cells.push_back(c);
+    if (!line.empty() && line.back() == ',') cells.emplace_back();
+    return cells;
+  };
+  const std::vector<std::string> header = split(lines.at(0));
+  std::vector<std::string> row = split(lines.at(1));
+  const auto col = std::find(header.begin(), header.end(), column) - header.begin();
+  row.at(static_cast<std::size_t>(col)) = cell;
+  lines[1].clear();
+  for (std::size_t c = 0; c < row.size(); ++c) lines[1] += (c ? "," : "") + row[c];
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  for (const std::string& line : lines) out << line << "\n";
+}
+
+/// The message ParseShardCsv throws, or "" when it does not throw.
+std::string ParseError(const std::string& path, const SweepSpec& spec) {
+  try {
+    ParseShardCsv(path, spec);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(DistributedSweepTest, CorruptShardCellsAreRefusedNotMergedAsZero) {
+  ScratchDir scratch("corrupt_shard");
+  const SweepSpec spec = DistSweep();
+  const std::string single = SingleProcessRun(spec, scratch.Sub("single"), 12);
+  const std::string shard = single + "/rows-00000.csv";
+  const std::string pristine = ReadFile(shard);
+  ASSERT_EQ(ParseShardCsv(shard, spec).size(), 12u);
+
+  // One bad cell per case: each names the shard path, the line (the first
+  // data row is line 2) and the column.
+  const std::vector<std::pair<std::string, std::string>> cases = {
+      {"avg_wait_s", "12x"},
+      {"total_energy_j", ""},
+      {"completed", "-1"},
+      {"completed", "2.5"},
+      {"dismissed", "1e30"},
+      {"fingerprint", "abc"},
+      {"fingerprint", "0x12345678901234"},
+      {"fingerprint", ""},
+      {"ok", "yes"},
+      {"index", ""}};
+  for (const auto& [column, cell] : cases) {
+    CorruptCell(shard, column, cell);
+    const std::string error = ParseError(shard, spec);
+    EXPECT_NE(error.find(shard + ":2"), std::string::npos) << column << ": " << error;
+    EXPECT_NE(error.find(column), std::string::npos) << column << ": " << error;
+    std::ofstream(shard, std::ios::binary | std::ios::trunc) << pristine;
+  }
+
+  // The coordinator merges a corrupt shard into nothing: a worker that
+  // corrupts the fingerprint cell of the shard it publishes fails the merge
+  // before aggregates.json is written.
+  const fs::path real_worker =
+      fs::read_symlink("/proc/self/exe").parent_path() / "sraps_sweep_worker";
+  ASSERT_TRUE(fs::exists(real_worker)) << real_worker;
+  const std::string worker = scratch.Sub("corrupting_worker.sh");
+  {
+    std::ofstream script(worker);
+    script << "#!/bin/sh\n"
+           << "\"" << real_worker.string() << "\" \"$@\" || exit $?\n"
+           << "sed -i '2s/,[0-9a-f]*$/,oops/' \"$1/shards/rows-00000.csv\"\n";
+  }
+  fs::permissions(worker, fs::perms::owner_all);
+  DistributedSweepOptions options;
+  options.workers = 1;
+  options.threads_per_worker = 1;
+  options.shard_size = 12;
+  options.worker_binary = worker;
+  try {
+    RunDistributedSweep(spec, scratch.Sub("work"), scratch.Sub("merged"), options);
+    ADD_FAILURE() << "a corrupt shard was merged";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("fingerprint"), std::string::npos) << e.what();
+  }
+  EXPECT_FALSE(fs::exists(scratch.Sub("merged") + "/aggregates.json"));
+}
+
 }  // namespace
 }  // namespace sraps

@@ -5,6 +5,7 @@
 // thread count.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
@@ -12,6 +13,7 @@
 
 #include "config/system_config.h"
 #include "report/sweep_report.h"
+#include "serve/scenario_service.h"
 #include "sweep/sweep_runner.h"
 #include "sweep/sweep_spec.h"
 #include "sweep/tree/first_effect.h"
@@ -862,6 +864,103 @@ TEST(SweepRunnerTest, SharePrefixWithEventCalendarAndSyntheticSeeds) {
   EXPECT_EQ(tree.tree_stats.Trajectories(), 2u);
   EXPECT_EQ(tree.tree_stats.forks, 6u);
   EXPECT_EQ(plain.aggregates.ToJson().Dump(2), tree.aggregates.ToJson().Dump(2));
+}
+
+// --- one run-metrics schema -------------------------------------------------
+
+/// Sets metric `target` (in ForEachMetric order) of `m` to `value`.
+void SetMetric(RunMetrics& m, std::size_t target, std::size_t value) {
+  std::size_t k = 0;
+  ForEachMetric(m, [&](const char*, auto& field) {
+    if (k++ == target) field = static_cast<std::decay_t<decltype(field)>>(value);
+  });
+}
+
+std::vector<std::string> Keys(const JsonValue& object) {
+  std::vector<std::string> keys;
+  for (const auto& [key, value] : object.AsObject()) keys.push_back(key);
+  return keys;
+}
+
+std::vector<std::string> Sorted(std::vector<std::string> names) {
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+TEST(RunMetricsTest, EachMetricReachesOnlyItsOwnColumnOnEverySurface) {
+  const std::vector<std::string>& names = MetricNames();
+  ASSERT_EQ(names.size(), 12u);
+
+  // The shard's metric columns follow index, name, the axes, ok and error,
+  // and precede the fingerprint.
+  const SweepSpec sweep = CapGrid();
+  const std::vector<std::string> header = ShardHeader(sweep);
+  const std::size_t first = 2 + sweep.axes.size() + 2;
+  ASSERT_EQ(header.size(), first + names.size() + 1);
+  EXPECT_EQ(header[first - 1], "error");
+  EXPECT_EQ(std::vector<std::string>(header.begin() + first, header.end() - 1), names);
+  EXPECT_EQ(header.back(), "fingerprint");
+
+  SweepRow zero_row;
+  zero_row.ok = true;
+  zero_row.axis_values = {JsonValue(0.0), JsonValue("easy")};
+  const std::vector<std::string> zero_cells = ShardCells(zero_row);
+  ASSERT_EQ(zero_cells.size(), header.size());
+  const JsonObject zero_json = RunMetricsJson(zero_row);
+  ASSERT_EQ(Keys(JsonValue(zero_json)), Sorted(names));
+
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    const std::size_t value = 100 + m;
+    SweepRow row = zero_row;
+    SetMetric(row, m, value);
+    const std::vector<std::string> cells = ShardCells(row);
+    for (std::size_t c = 0; c < cells.size(); ++c) {
+      if (c == first + m) {
+        EXPECT_EQ(cells[c], std::to_string(value)) << names[m];
+      } else {
+        EXPECT_EQ(cells[c], zero_cells[c]) << names[m] << " leaked into " << header[c];
+      }
+    }
+
+    const JsonObject json = RunMetricsJson(row);
+    for (const std::string& name : names) {
+      EXPECT_EQ(json.at(name).AsDouble(), name == names[m] ? value : 0.0)
+          << names[m] << " -> " << name;
+    }
+
+    ScenarioResult result;
+    result.ok = true;
+    SetMetric(result, m, value);
+    const JsonValue results = ResultsToJson({result});
+    const JsonValue& scenario = results.At("scenarios").AsArray().at(0);
+    for (const std::string& name : names) {
+      EXPECT_EQ(scenario.At(name).AsDouble(), name == names[m] ? value : 0.0)
+          << names[m] << " -> " << name;
+    }
+  }
+
+  // aggregates.json's "metrics" keys.
+  SweepAggregator aggregator(1);
+  aggregator.Fold(zero_row);
+  const SweepAggregates aggregates = aggregator.Finalize();
+  ASSERT_EQ(aggregates.metrics.size(), names.size());
+  for (std::size_t m = 0; m < names.size(); ++m) {
+    EXPECT_EQ(aggregates.metrics[m].first, names[m]);
+  }
+  EXPECT_EQ(Keys(aggregates.ToJson().At("metrics")), Sorted(names));
+
+  // The serve reply's "metrics" keys.
+  ScenarioSpec base = MiniBase();
+  base.event_calendar = true;
+  base.capture_grid_basis = true;
+  base.grid.price_usd_per_kwh = GridSignal::Diurnal(0.12);
+  ServeOptions serve_options;
+  serve_options.workers = 1;
+  ScenarioService service(serve_options);
+  service.AddBase(base);
+  const ServeReply reply = service.WhatIf(R"({"base": "base"})");
+  ASSERT_EQ(reply.status, 200) << reply.body;
+  EXPECT_EQ(Keys(JsonValue::Parse(reply.body).At("metrics")), Sorted(names));
 }
 
 }  // namespace
